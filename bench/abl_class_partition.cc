@@ -32,7 +32,8 @@ struct PartitionPoint
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kClosureFlags);
     bench::header("Ablation: class-partitioned subnets (CCNoC [29]) vs "
                   "Catnap");
 

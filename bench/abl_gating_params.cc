@@ -17,7 +17,8 @@ using namespace catnap;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kItemFlags);
     const RunParams rp = bench::sweep_params();
     SyntheticConfig traffic;
     traffic.load = 0.05;
@@ -36,7 +37,7 @@ main(int argc, char **argv)
         cfg.t_breakeven = t_be;
         items.push_back(RunItem{cfg, traffic, rp});
     }
-    const auto res = run_batch(items, bench::exec_options(opts));
+    const auto res = sweep_or_exit(items, opts);
 
     bench::header("Ablation A: wake-up delay T_wakeup (4NT-128b-PG)");
     std::printf("%-10s %12s %12s %10s\n", "T_wakeup", "latency",

@@ -17,7 +17,8 @@ using namespace catnap;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kGridFlags);
     bench::header("Ablation: RCS region size (4NT-128b-PG, transpose)");
 
     const RunParams rp = bench::sweep_params();

@@ -16,7 +16,8 @@ using namespace catnap;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kGridFlags);
     bench::header("Ablation: BFM threshold trade-off (4NT-128b-PG, "
                   "uniform random)");
 

@@ -35,7 +35,8 @@ struct KillSite {
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kItemFlags);
     bench::header("Extension: fault resilience, staggered router kills "
                   "(8x8, 4NT-128b-PG, uniform 0.10)");
 
@@ -66,7 +67,7 @@ main(int argc, char **argv)
         traffic.load = 0.10;
         items.push_back(RunItem{cfg, traffic, rp});
     }
-    const auto res = run_batch(items, bench::exec_options(opts));
+    const auto res = sweep_or_exit(items, opts);
 
     std::printf("%-6s | %8s %8s %8s %8s | %8s %8s %9s\n", "kills",
                 "lat", "p99", "power", "csc%", "retrans", "dropped",

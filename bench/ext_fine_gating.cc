@@ -15,7 +15,8 @@ using namespace catnap;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kGridFlags);
     bench::header("Extension: per-port gating (1NT-512b-PPG) vs "
                   "router-idle PG vs Catnap");
 

@@ -21,7 +21,8 @@ using namespace catnap;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kGridFlags);
     bench::header("Extension: Catnap on a concentrated torus (8x8, "
                   "4NT-128b-PG)");
 

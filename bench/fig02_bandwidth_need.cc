@@ -17,7 +17,8 @@ using namespace catnap;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kClosureFlags);
     bench::header("Figure 2: per-core bandwidth need (normalized perf)");
 
     AppRunParams ap;

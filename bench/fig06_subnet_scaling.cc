@@ -18,7 +18,8 @@ using namespace catnap;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kGridFlags);
     bench::header("Figure 6a: saturation throughput vs subnet count");
 
     const RunParams rp = bench::sweep_params();

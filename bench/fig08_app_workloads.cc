@@ -44,7 +44,8 @@ figure8_configs()
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kClosureFlags);
     bench::header("Figure 8: app workloads -- network power and "
                   "normalized performance");
 

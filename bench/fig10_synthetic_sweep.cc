@@ -17,7 +17,8 @@ using namespace catnap;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kGridFlags);
     bench::header("Figure 10: uniform random, power/CSC/throughput/latency"
                   " vs offered load");
 

@@ -34,7 +34,8 @@ metric_config(CongestionMetric metric, bool use_rcs)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kGridFlags);
     bench::header("Figure 11: congestion metrics for subnet selection "
                   "and gating (4NT-128b-PG)");
 

@@ -18,7 +18,8 @@ using namespace catnap;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kGridFlags);
     bench::header("Figure 13: IR subnet-selection policy threshold sweep "
                   "(4NT-128b, no PG)");
 

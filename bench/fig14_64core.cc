@@ -32,7 +32,8 @@ small_mesh(MultiNocConfig cfg)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts =
+        bench::parse_options(argc, argv, bench::kGridFlags);
     bench::header("Figure 14: 64-core processor (4x4 cmesh, 256-bit "
                   "aggregate)");
 

@@ -94,19 +94,26 @@ ProcSweepResult::quarantine_summary() const
             continue;
         s += "  point " + std::to_string(i) + " key=" + key_hex(p.key) +
              " load=" + format_load(p.offered_load) +
-             " seed=" + std::to_string(p.seed) + ": " +
-             std::to_string(p.attempts) + " attempt(s) [";
-        for (std::size_t f = 0; f < p.failures.size(); ++f) {
-            if (f != 0)
-                s += "; ";
-            s += p.failures[f].message;
-        }
-        s += "]\n";
+             " seed=" + std::to_string(p.seed) + ": " + p.failure_reason() +
+             "\n";
     }
     return s;
 }
 
-ProcRunner::ProcRunner(const ProcOptions &opts) : opts_(opts)
+std::string
+PointReport::failure_reason() const
+{
+    std::string s = std::to_string(attempts) + " attempt(s) [";
+    for (std::size_t f = 0; f < failures.size(); ++f) {
+        if (f != 0)
+            s += "; ";
+        s += failures[f].message;
+    }
+    return s + "]";
+}
+
+ProcRunner::ProcRunner(const ProcOptions &opts)
+    : opts_(opts), epoch_us_(now_us())
 {
     if (opts_.worker.empty())
         throw std::invalid_argument("proc: worker executable is required");
@@ -147,13 +154,7 @@ ProcRunner::run(const std::vector<RunItem> &items)
     if (n == 0)
         return out;
     epoch_us_ = now_us();
-
-    std::error_code ec;
-    std::filesystem::create_directories(opts_.scratch_dir, ec);
-    if (ec) {
-        throw std::runtime_error("proc: cannot create scratch dir '" +
-                                 opts_.scratch_dir + "': " + ec.message());
-    }
+    make_scratch_dir();
 
     // Replay the journal before opening it for writing: in append mode
     // replay decides which points are already done, in truncate mode a
@@ -231,6 +232,27 @@ ProcRunner::run(const std::vector<RunItem> &items)
         }
     }
     return out;
+}
+
+void
+ProcRunner::make_scratch_dir() const
+{
+    std::error_code ec;
+    std::filesystem::create_directories(opts_.scratch_dir, ec);
+    if (ec) {
+        throw std::runtime_error("proc: cannot create scratch dir '" +
+                                 opts_.scratch_dir + "': " + ec.message());
+    }
+}
+
+PointReport
+ProcRunner::run_one(std::size_t index, const RunItem &item)
+{
+    make_scratch_dir();
+    PointReport rep = run_point(index, item, point_hash(item));
+    rep.offered_load = item.traffic.load;
+    rep.seed = item.params.seed;
+    return rep;
 }
 
 PointReport
@@ -385,14 +407,6 @@ ProcRunner::run_point(std::size_t index, const RunItem &item,
     ev.a = rep.attempts;
     emit(ev);
     return rep;
-}
-
-std::vector<SyntheticResult>
-run_batch_isolated(const std::vector<RunItem> &items,
-                   const ProcOptions &opts)
-{
-    ProcRunner runner(opts);
-    return runner.run(items).merged();
 }
 
 } // namespace catnap

@@ -105,6 +105,7 @@ enum class PointFailKind : std::int8_t {
     kTimeout = 3,   ///< watchdog SIGKILL at the budget (detail=ms)
     kBadResult = 4, ///< worker exited 0 but its result image failed
                     ///< validation (missing/truncated/corrupt/foreign)
+    kThrew = 5,     ///< an in-process point threw (message = what())
 };
 
 /** One failed attempt, classified. */
@@ -125,6 +126,9 @@ struct PointReport
     int attempts = 0;          ///< workers spawned for this point
     std::vector<PointFailure> failures; ///< one entry per failed attempt
     SyntheticResult result; ///< valid unless quarantined
+
+    /** "N attempt(s) [failure; failure]" — why a point quarantined. */
+    std::string failure_reason() const;
 };
 
 /** Outcome of a whole isolated sweep. */
@@ -178,11 +182,21 @@ class ProcRunner
      */
     ProcSweepResult run(const std::vector<RunItem> &items);
 
+    /**
+     * Runs one point through a supervised worker, bypassing the journal
+     * and deduplication of run(): the per-point path of the sweep
+     * service, which publishes each point the moment it finishes.
+     * Concurrent calls for distinct points are safe. Throws on the same
+     * supervisor-side errors as run().
+     */
+    PointReport run_one(std::size_t index, const RunItem &item);
+
     const ProcOptions &options() const { return opts_; }
 
   private:
     PointReport run_point(std::size_t index, const RunItem &item,
                           std::uint64_t key);
+    void make_scratch_dir() const;
     void emit(TraceEvent ev);
     void journal_append(std::uint64_t key,
                         const std::vector<std::uint8_t> &payload);
@@ -193,16 +207,6 @@ class ProcRunner
     std::unique_ptr<ckpt::JournalWriter> journal_;
     std::int64_t epoch_us_ = 0; ///< sweep start, host microseconds
 };
-
-/**
- * Convenience wrapper: isolated analogue of run_batch(). Spawns
- * workers per @p opts, throws std::runtime_error with the quarantine
- * summary if any point failed permanently, and otherwise returns
- * results in item order, bit-identical to run_batch(items).
- */
-std::vector<SyntheticResult>
-run_batch_isolated(const std::vector<RunItem> &items,
-                   const ProcOptions &opts);
 
 } // namespace catnap
 

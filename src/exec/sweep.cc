@@ -1,0 +1,379 @@
+#include "exec/sweep.h"
+
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+
+#include <unistd.h>
+
+#include "exec/point_codec.h"
+#include "serve/client.h"
+
+namespace catnap {
+
+namespace {
+
+/** Scratch directory of a local isolated sweep (the daemon has its
+ * own, ServeExecPolicy::scratch, so the two never share files). */
+constexpr const char *kDefaultScratch = ".catnap-scratch";
+
+/** The running binary's name, for diagnostics. */
+const char *
+prog()
+{
+    return program_invocation_short_name;
+}
+
+} // namespace
+
+void
+die_value(const char *flag, const std::string &value, const std::string &why)
+{
+    std::fprintf(stderr, "%s: invalid value '%s' for %s: %s\n", prog(),
+                 value.c_str(), flag, why.c_str());
+    std::exit(kExitBadValue);
+}
+
+const char *
+need_value(int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: missing value for %s (try --help)\n",
+                     prog(), argv[i]);
+        std::exit(kExitUsage);
+    }
+    return argv[++i];
+}
+
+long long
+parse_int(const char *flag, const std::string &value, long long lo,
+          long long hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(value.c_str(), &end, 10);
+    if (value.empty() || *end != '\0' || end == value.c_str())
+        die_value(flag, value, "not an integer");
+    if (errno == ERANGE || v < lo || v > hi) {
+        die_value(flag, value, "must be in [" + std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "]");
+    }
+    return v;
+}
+
+unsigned long long
+parse_uint(const char *flag, const std::string &value, unsigned long long hi)
+{
+    if (!value.empty() && value[0] == '-')
+        die_value(flag, value, "must be non-negative");
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+    if (value.empty() || *end != '\0' || end == value.c_str())
+        die_value(flag, value, "not an integer");
+    if (errno == ERANGE || v > hi)
+        die_value(flag, value, "must be at most " + std::to_string(hi));
+    return v;
+}
+
+double
+parse_real(const char *flag, const std::string &value, double lo, double hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(value.c_str(), &end);
+    if (value.empty() || *end != '\0' || end == value.c_str())
+        die_value(flag, value, "not a number");
+    if (!std::isfinite(v))
+        die_value(flag, value, "must be finite (NaN/inf rejected)");
+    char range[96];
+    std::snprintf(range, sizeof range, "must be in [%g, %g]", lo, hi);
+    if (errno == ERANGE || v < lo || v > hi)
+        die_value(flag, value, range);
+    return v;
+}
+
+bool
+parse_sweep_flag(int argc, char **argv, int &i, unsigned accept,
+                 SweepOptions &opts)
+{
+    const std::string a = argv[i];
+    const bool isolate_group = (accept & kIsolateFlags) != 0;
+    const bool journal_group = (accept & kJournalFlags) != 0;
+    if ((accept & kJobsFlag) != 0 && a == "--jobs") {
+        opts.jobs = static_cast<int>(
+            parse_int("--jobs", need_value(argc, argv, i), 0, 4096));
+    } else if ((accept & kServeFlag) != 0 && a == "--serve") {
+        opts.serve = need_value(argc, argv, i);
+    } else if (isolate_group && a == "--isolate") {
+        opts.isolate = true;
+    } else if (isolate_group && a == "--worker") {
+        opts.worker = need_value(argc, argv, i);
+    } else if (isolate_group && a == "--scratch") {
+        opts.scratch = need_value(argc, argv, i);
+    } else if (isolate_group && a == "--point-timeout") {
+        opts.point_timeout_ms = static_cast<std::int64_t>(parse_uint(
+            "--point-timeout", need_value(argc, argv, i), 86400000ull));
+    } else if (isolate_group && a == "--point-retries") {
+        opts.point_retries = static_cast<int>(
+            parse_int("--point-retries", need_value(argc, argv, i), 0, 100));
+    } else if (journal_group && a == "--journal") {
+        opts.journal = need_value(argc, argv, i);
+    } else if (journal_group && a == "--resume") {
+        opts.resume = true;
+    } else {
+        return false;
+    }
+    return true;
+}
+
+std::string
+sweep_flags_help(unsigned accept)
+{
+    std::string out;
+    if ((accept & kJobsFlag) != 0) {
+        out += "  --jobs N                  concurrent points (default: one "
+               "per core;\n"
+               "                            1 = serial; output is identical "
+               "for every N)\n";
+    }
+    if ((accept & kIsolateFlags) != 0) {
+        out += "  --isolate                 run every point in a supervised\n"
+               "                            catnap_sim worker subprocess: "
+               "crashes, hangs\n"
+               "                            and bad exits are classified, "
+               "retried, then\n"
+               "                            quarantined (DESIGN.md §15)\n"
+               "  --worker PATH             worker executable (default: "
+               "catnap_sim next\n"
+               "                            to this binary)\n"
+               "  --scratch DIR             spec/result exchange directory\n"
+               "  --point-timeout MS        per-attempt wall budget; hung "
+               "workers are\n"
+               "                            SIGKILLed (0 = unlimited)\n"
+               "  --point-retries N         extra attempts before quarantine "
+               "(default 2)\n";
+    }
+    if ((accept & kJournalFlags) != 0) {
+        out += "  --journal FILE            append every finished point to a "
+               "CRC-checked\n"
+               "                            journal (needs --isolate)\n"
+               "  --resume                  replay the journal's intact "
+               "records, run only\n"
+               "                            missing points (needs "
+               "--journal)\n";
+    }
+    if ((accept & kServeFlag) != 0) {
+        out += "  --serve SOCKET            resolve every point against a "
+               "catnap_serve\n"
+               "                            daemon: cached points replay "
+               "bit-identically,\n"
+               "                            the rest execute daemon-side "
+               "(DESIGN.md §17)\n";
+    }
+    return out;
+}
+
+void
+check_sweep_options(const SweepOptions &opts, bool fork_warmup)
+{
+    const SweepOptions defaults;
+    const bool worker_flags =
+        !opts.worker.empty() || !opts.scratch.empty() ||
+        !opts.journal.empty() || opts.resume ||
+        opts.point_timeout_ms != defaults.point_timeout_ms ||
+        opts.point_retries != defaults.point_retries;
+    const char *why = nullptr;
+    if (opts.resume && opts.journal.empty()) {
+        why = "--resume requires --journal FILE";
+    } else if (worker_flags && !opts.isolate) {
+        why = "--worker, --scratch, --journal, --resume, --point-timeout "
+              "and --point-retries require --isolate";
+    } else if (opts.isolate && !opts.serve.empty()) {
+        why = "--serve and --isolate are mutually exclusive (the daemon "
+              "owns execution and persistence)";
+    } else if (fork_warmup && (opts.isolate || !opts.serve.empty())) {
+        why = "--fork-warmup excludes --isolate and --serve (a warm "
+              "in-process run cannot cross a process boundary)";
+    }
+    if (why != nullptr) {
+        std::fprintf(stderr, "%s: %s\n", prog(), why);
+        std::exit(kExitUsage);
+    }
+}
+
+std::string
+default_worker_path()
+{
+    char buf[4096];
+    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
+    std::string dir = ".";
+    if (n > 0) {
+        const std::string self(buf, static_cast<std::size_t>(n));
+        const std::size_t slash = self.rfind('/');
+        if (slash != std::string::npos)
+            dir = self.substr(0, slash);
+    }
+    const std::string sibling = dir + "/catnap_sim";
+    return ::access(sibling.c_str(), X_OK) == 0 ? sibling
+                                                : dir + "/../tools/catnap_sim";
+}
+
+PointReport
+execute_point(std::size_t index, const RunItem &item, ProcRunner *proc)
+{
+    if (proc != nullptr)
+        return proc->run_one(index, item);
+    PointReport rep;
+    rep.attempts = 1;
+    try {
+        rep.result = run_synthetic(item.cfg, item.traffic, item.params);
+        rep.status = PointStatus::kOk;
+    } catch (const std::exception &e) {
+        PointFailure fail;
+        fail.kind = PointFailKind::kThrew;
+        fail.message = std::string("point threw: ") + e.what();
+        rep.failures.push_back(std::move(fail));
+        rep.status = PointStatus::kQuarantined;
+    }
+    return rep;
+}
+
+std::string
+SweepOutcome::status_line() const
+{
+    char buf[192];
+    std::snprintf(buf, sizeof buf,
+                  "[%s] %zu hit(s), %zu executed, %zu point(s) from "
+                  "journal, %zu quarantined\n",
+                  backend, hits, executed, from_journal, quarantined);
+    return buf;
+}
+
+SweepOutcome
+run_sweep(const std::vector<RunItem> &items, const SweepOptions &opts)
+{
+    const std::size_t n = items.size();
+    SweepOutcome out;
+    out.results.resize(n);
+    out.provenance.assign(n, Provenance::kQuarantined);
+    std::vector<std::string> why(n);
+    try {
+        if (!opts.serve.empty()) {
+            out.backend = "serve";
+            serve::ServeClientOptions copts;
+            copts.socket_path = opts.serve;
+            serve::ServedSweep sweep = serve::run_batch_served(items, copts);
+            for (std::size_t i = 0; i < n; ++i) {
+                switch (sweep.statuses[i]) {
+                  case serve::ServedStatus::kHit:
+                    out.provenance[i] = Provenance::kCacheHit;
+                    break;
+                  case serve::ServedStatus::kMiss:
+                    out.provenance[i] = Provenance::kExecuted;
+                    break;
+                  case serve::ServedStatus::kQuarantined:
+                    why[i] = sweep.errors[i];
+                    break;
+                }
+                out.results[i] = std::move(sweep.results[i]);
+            }
+        } else {
+            std::vector<PointReport> reports;
+            if (opts.isolate) {
+                out.backend = "isolate";
+                ProcOptions po;
+                po.worker = opts.worker.empty() ? default_worker_path()
+                                                : opts.worker;
+                po.scratch_dir =
+                    opts.scratch.empty() ? kDefaultScratch : opts.scratch;
+                po.journal = opts.journal;
+                po.resume = opts.resume;
+                po.jobs = opts.jobs;
+                po.max_retries = opts.point_retries;
+                po.timeout_ms = opts.point_timeout_ms;
+                ProcRunner runner(po);
+                reports = runner.run(items).points;
+            } else {
+                ExecOptions eo;
+                eo.jobs = opts.jobs;
+                SweepRunner runner(eo);
+                reports = runner.map<PointReport>(n, [&items](std::size_t i) {
+                    return execute_point(i, items[i], nullptr);
+                });
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+                switch (reports[i].status) {
+                  case PointStatus::kOk:
+                    out.provenance[i] = Provenance::kExecuted;
+                    break;
+                  case PointStatus::kFromJournal:
+                    out.provenance[i] = Provenance::kFromJournal;
+                    break;
+                  case PointStatus::kQuarantined:
+                    why[i] = reports[i].failure_reason();
+                    break;
+                }
+                out.results[i] = std::move(reports[i].result);
+            }
+        }
+    } catch (const serve::ServeError &e) {
+        out.exit_code = kExitServe;
+        out.fatal = e.what();
+        return out;
+    } catch (const std::exception &e) {
+        // Supervisor faults (unusable scratch dir, unspawnable worker,
+        // unwritable journal) — point failures quarantine instead.
+        out.exit_code = kExitRuntime;
+        out.fatal = e.what();
+        return out;
+    }
+
+    for (std::size_t i = 0; i < n; ++i) {
+        switch (out.provenance[i]) {
+          case Provenance::kExecuted:    ++out.executed;     break;
+          case Provenance::kFromJournal: ++out.from_journal; break;
+          case Provenance::kCacheHit:    ++out.hits;         break;
+          case Provenance::kQuarantined: ++out.quarantined;  break;
+        }
+    }
+    if (out.quarantined == 0)
+        return out;
+
+    out.exit_code = kExitQuarantine;
+    out.quarantine_summary = "quarantine: " +
+                             std::to_string(out.quarantined) + " of " +
+                             std::to_string(n) +
+                             " sweep point(s) failed permanently\n";
+    for (std::size_t i = 0; i < n; ++i) {
+        if (out.provenance[i] != Provenance::kQuarantined)
+            continue;
+        char head[128];
+        std::snprintf(head, sizeof head,
+                      "  point %zu key=%016llx load=%.6g seed=%llu: ", i,
+                      static_cast<unsigned long long>(point_hash(items[i])),
+                      items[i].traffic.load,
+                      static_cast<unsigned long long>(items[i].params.seed));
+        out.quarantine_summary += head + why[i] + "\n";
+    }
+    return out;
+}
+
+std::vector<SyntheticResult>
+sweep_or_exit(const std::vector<RunItem> &items, const SweepOptions &opts)
+{
+    SweepOutcome out = run_sweep(items, opts);
+    if (!out.fatal.empty()) {
+        std::fprintf(stderr, "[%s] fatal: %s\n", out.backend,
+                     out.fatal.c_str());
+        std::exit(out.exit_code);
+    }
+    std::fputs(out.status_line().c_str(), stderr);
+    std::fputs(out.quarantine_summary.c_str(), stderr);
+    if (out.exit_code != 0)
+        std::exit(out.exit_code);
+    return std::move(out.results);
+}
+
+} // namespace catnap

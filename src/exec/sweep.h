@@ -1,0 +1,195 @@
+/**
+ * @file
+ * The one sweep-execution interface (DESIGN.md §12): the options every
+ * sweeping binary shares, their strict command-line parser and
+ * exclusion rules, and run_sweep(), which executes ordered RunItems on
+ * one of three backends and reports where every point came from:
+ *
+ *   local    the in-process thread pool (exec/sweep_runner.h)
+ *   isolate  supervised catnap_sim worker subprocesses with retry,
+ *            quarantine and a resumable journal (exec/proc_runner.h)
+ *   serve    the catnap_serve daemon and its result cache (serve/)
+ *
+ * catnap_sim --loads, catnap_serve and the bench harnesses all parse
+ * their sweep flags here, so a flag means the same thing, fails the same
+ * way and exits with the same code in every binary. Every backend
+ * returns results in item order, bit-identical to the serial run.
+ *
+ * Exit codes shared by every binary:
+ *   1 runtime or supervisor fault   2 usage error
+ *   3 invalid flag value            4 sweep left quarantined point(s)
+ *   5 sweep-service daemon unreachable or protocol error
+ */
+#ifndef CATNAP_EXEC_SWEEP_H
+#define CATNAP_EXEC_SWEEP_H
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "exec/proc_runner.h"
+#include "exec/sweep_runner.h"
+#include "sim/simulator.h"
+
+namespace catnap {
+
+constexpr int kExitRuntime = 1;    ///< simulation, supervisor or I/O fault
+constexpr int kExitUsage = 2;      ///< unknown option or malformed CLI
+constexpr int kExitBadValue = 3;   ///< syntactically valid flag, bad value
+constexpr int kExitQuarantine = 4; ///< sweep left quarantined point(s)
+constexpr int kExitServe = 5;      ///< daemon unreachable / protocol error
+
+/** How a sweep executes. */
+struct SweepOptions
+{
+    /** Concurrent points (threads or workers); 0 = one per core. */
+    int jobs = 0;
+
+    /** Resolve every point against the catnap_serve daemon listening on
+     * this socket (empty = execute locally). */
+    std::string serve;
+
+    /** Run every point in a supervised catnap_sim worker subprocess. */
+    bool isolate = false;
+
+    /** Worker executable; empty = default_worker_path(). */
+    std::string worker;
+
+    /** Spec/result exchange directory; empty = the backend's default. */
+    std::string scratch;
+
+    /** Append every finished point to this CRC-checked journal. */
+    std::string journal;
+
+    /** Replay the journal's intact records, run only missing points. */
+    bool resume = false;
+
+    /** Per-attempt wall budget of a worker in ms; 0 = unlimited. */
+    std::int64_t point_timeout_ms = 0;
+
+    /** Extra worker attempts before a point is quarantined. */
+    int point_retries = 2;
+};
+
+/** Flag groups a binary accepts (bitmask for parse_sweep_flag()). */
+enum SweepFlags : unsigned {
+    kJobsFlag = 1u << 0,     ///< --jobs
+    kIsolateFlags = 1u << 1, ///< --isolate --worker --scratch
+                             ///< --point-timeout --point-retries
+    kJournalFlags = 1u << 2, ///< --journal --resume
+    kServeFlag = 1u << 3,    ///< --serve
+    kAllSweepFlags = kJobsFlag | kIsolateFlags | kJournalFlags | kServeFlag,
+};
+
+/** Rejects a flag value with a precise reason and exits kExitBadValue,
+ * so scripts can tell "bad config" from "bad CLI" and "sim died". */
+[[noreturn]] void die_value(const char *flag, const std::string &value,
+                            const std::string &why);
+
+/** Returns argv[++i], or exits kExitUsage when the flag at argv[i] has
+ * no value after it. */
+const char *need_value(int argc, char **argv, int &i);
+
+/** Strict integer parse: whole string, in [lo, hi]. "4x" and "99999"
+ * for a small range both exit kExitBadValue instead of truncating. */
+long long parse_int(const char *flag, const std::string &value, long long lo,
+                    long long hi);
+
+/** Strict unsigned parse (seeds, cycle counts): "-1" is rejected
+ * instead of wrapping to 2^64-1. */
+unsigned long long parse_uint(const char *flag, const std::string &value,
+                              unsigned long long hi = ~0ull);
+
+/** Strict real parse: whole string, finite (a NaN load silently poisons
+ * every downstream metric), in [lo, hi]. */
+double parse_real(const char *flag, const std::string &value, double lo,
+                  double hi);
+
+/**
+ * Consumes argv[i] (and its value) into @p opts when it is a sweep flag
+ * of a group in @p accept; returns false otherwise. A bad value exits
+ * kExitBadValue, a missing one kExitUsage.
+ */
+bool parse_sweep_flag(int argc, char **argv, int &i, unsigned accept,
+                      SweepOptions &opts);
+
+/** --help lines for the flag groups in @p accept. */
+std::string sweep_flags_help(unsigned accept);
+
+/**
+ * The exclusion rules, checked once after parsing; a violation exits
+ * kExitUsage. The worker flags and --journal/--resume need --isolate,
+ * --resume needs --journal, and --serve excludes --isolate. The bench
+ * harnesses' --fork-warmup grid mode (@p fork_warmup) excludes both
+ * process-boundary backends.
+ */
+void check_sweep_options(const SweepOptions &opts, bool fork_warmup = false);
+
+/** The default worker: catnap_sim next to the running binary, else in
+ * ../tools/ (the build-tree layout of the bench harnesses). */
+std::string default_worker_path();
+
+/**
+ * Runs one point: in-process when @p proc is null, else in a worker
+ * supervised by @p proc (ProcRunner::run_one). Point failures come back
+ * quarantined, never thrown — an in-process throw quarantines at once,
+ * because the simulator is deterministic and a retry would throw again.
+ * Only supervisor faults (an unspawnable worker) propagate.
+ */
+PointReport execute_point(std::size_t index, const RunItem &item,
+                          ProcRunner *proc);
+
+/** Where one point's result came from. */
+enum class Provenance : std::int8_t {
+    kExecuted = 0,    ///< simulated by this sweep
+    kFromJournal = 1, ///< replayed from the --isolate journal
+    kCacheHit = 2,    ///< replayed from the daemon's result cache
+    kQuarantined = 3, ///< every attempt failed; no result
+};
+
+/** Everything run_sweep() reports. */
+struct SweepOutcome
+{
+    const char *backend = "local"; ///< "local", "isolate" or "serve"
+
+    /** Item order; slot i is valid unless provenance[i] is
+     * kQuarantined. */
+    std::vector<SyntheticResult> results;
+    std::vector<Provenance> provenance;
+
+    std::size_t executed = 0;
+    std::size_t from_journal = 0;
+    std::size_t hits = 0;
+    std::size_t quarantined = 0;
+
+    /** Deterministic description of every quarantined point, in point
+     * order (index, key, load, seed, reason); empty when none. */
+    std::string quarantine_summary;
+
+    /** 0, or kExitQuarantine, or the code of a whole-sweep failure
+     * (kExitRuntime, kExitServe) whose reason is @c fatal. */
+    int exit_code = 0;
+    std::string fatal;
+
+    /** "[backend] H hit(s), E executed, J point(s) from journal, Q
+     * quarantined" plus a newline. */
+    std::string status_line() const;
+};
+
+/** Runs @p items on the backend @p opts selects. Never throws: every
+ * failure is reported through the outcome's exit code. */
+SweepOutcome run_sweep(const std::vector<RunItem> &items,
+                       const SweepOptions &opts);
+
+/**
+ * run_sweep() for command-line binaries: prints the status line (and
+ * the quarantine summary or fatal reason) to stderr, keeping stdout
+ * bit-identical across backends, and exits with the outcome's code
+ * unless it is 0. Returns the results in item order.
+ */
+std::vector<SyntheticResult> sweep_or_exit(const std::vector<RunItem> &items,
+                                           const SweepOptions &opts);
+
+} // namespace catnap
+
+#endif // CATNAP_EXEC_SWEEP_H

@@ -141,10 +141,9 @@ enum class EventKind : std::int8_t {
      */
     kServeRequest = 24,
 
-    /** Sweep service: one executor job (an adaptively coalesced batch
-     * of cache misses) finished. [node=first point index in the
-     * request, a=points in the batch, b=0 ok / 1 some point
-     * quarantined; `cycle` is host microseconds] */
+    /** Sweep service: one cache miss finished executing. [node=point
+     * index in the request, a=attempts, b=0 ok / 1 quarantined;
+     * `cycle` is host microseconds] */
     kServeExec = 25,
 
     /** Sweep service: a cache insert pushed the result cache past its

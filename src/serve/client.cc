@@ -319,7 +319,6 @@ fetch_stats(const ServeClientOptions &opts)
     out.misses = stat_u64(*stats, "misses");
     out.quarantined = stat_u64(*stats, "quarantined");
     out.executed = stat_u64(*stats, "executed");
-    out.batches = stat_u64(*stats, "batches");
     out.evicted = stat_u64(*stats, "evicted");
     out.cache_entries = stat_u64(*stats, "cache_entries");
     out.cache_bytes = stat_u64(*stats, "cache_bytes");

@@ -14,7 +14,7 @@
 
 #include "ckpt/archive.h"
 #include "exec/point_codec.h"
-#include "exec/proc_runner.h"
+#include "exec/sweep.h"
 #include "serve/json.h"
 
 namespace catnap {
@@ -91,7 +91,6 @@ ServeStats::to_json() const
     put_member(out, "misses", misses);
     put_member(out, "quarantined", quarantined);
     put_member(out, "executed", executed);
-    put_member(out, "batches", batches);
     put_member(out, "evicted", evicted);
     put_member(out, "cache_entries", cache_entries);
     put_member(out, "cache_bytes", cache_bytes);
@@ -171,8 +170,6 @@ ServeServer::ServeServer(const ServeConfig &cfg) : cfg_(cfg)
         throw std::invalid_argument("serve: socket path is required");
     if (cfg_.exec.isolate && cfg_.exec.worker.empty())
         throw std::invalid_argument("serve: isolate mode needs a worker");
-    if (cfg_.exec.batch_max == 0)
-        cfg_.exec.batch_max = 1;
 
     cache_ = std::make_unique<ResultCache>(cfg_.cache);
     stats_.restored_records = cache_->restored();
@@ -582,117 +579,58 @@ ServeServer::execute_misses(const std::vector<RunItem> &items,
                             const std::vector<std::size_t> &pending,
                             std::vector<PointAnswer> &answers)
 {
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        stats_.executed += pending.size();
+    }
     // Whatever happens below, every claimed key must be released or the
     // single-flight table wedges other requests forever.
-    std::vector<bool> done(pending.size(), false);
+    std::vector<std::uint8_t> done(pending.size(), 0);
     try {
+        std::unique_ptr<ProcRunner> proc;
         if (cfg_.exec.isolate) {
-            std::vector<RunItem> misses;
-            misses.reserve(pending.size());
-            for (const std::size_t slot : pending)
-                misses.push_back(items[slot]);
-
             ProcOptions popts;
             popts.worker = cfg_.exec.worker;
             popts.scratch_dir = cfg_.exec.scratch;
-            popts.jobs = cfg_.exec.jobs;
             popts.max_retries = cfg_.exec.max_retries;
             popts.timeout_ms = cfg_.exec.timeout_ms;
             popts.sink = cfg_.sink;
-            ProcRunner runner(popts);
-            const ProcSweepResult swept = runner.run(misses);
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                stats_.executed += swept.spawned;
-                stats_.batches += pending.size();
-            }
-            for (std::size_t p = 0; p < pending.size(); ++p) {
-                const PointReport &rep = swept.points[p];
-                const std::size_t slot = pending[p];
-                if (rep.status == PointStatus::kQuarantined) {
-                    std::string why = "quarantined after " +
-                                      std::to_string(rep.attempts) +
-                                      " attempt(s)";
-                    for (const PointFailure &f : rep.failures)
-                        why += "; " + f.message;
-                    finish_point(keys[slot], slot, false, {}, why, answers);
-                } else {
-                    ckpt::Writer w;
-                    put_synth_result(w, rep.result);
-                    finish_point(keys[slot], slot, true, w.bytes(), "",
-                                 answers);
-                }
-                done[p] = true;
-            }
-        } else {
-            // Adaptive batching: coalesce runs of cheap (low offered
-            // load) points into one executor job so wide low-load grids
-            // amortise dispatch overhead. Scheduling only — each point
-            // still simulates on private state, so result bytes and
-            // slot order are untouched.
-            std::vector<std::vector<std::size_t>> batches; // of p-index
-            std::size_t p = 0;
-            while (p < pending.size()) {
-                std::vector<std::size_t> batch{p};
-                const bool cheap = items[pending[p]].traffic.load <=
-                                   cfg_.exec.batch_load_max;
-                ++p;
-                while (cheap && batch.size() < cfg_.exec.batch_max &&
-                       p < pending.size() &&
-                       items[pending[p]].traffic.load <=
-                           cfg_.exec.batch_load_max) {
-                    batch.push_back(p);
-                    ++p;
-                }
-                batches.push_back(std::move(batch));
-            }
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                stats_.executed += pending.size();
-                stats_.batches += batches.size();
-            }
-
-            ExecOptions eopts;
-            eopts.jobs = cfg_.exec.jobs;
-            SweepRunner runner(eopts);
-            runner.run_jobs(batches.size(), [&](std::size_t bi) {
-                bool batch_ok = true;
-                for (const std::size_t pi : batches[bi]) {
-                    const std::size_t slot = pending[pi];
-                    try {
-                        const SyntheticResult res =
-                            run_synthetic(items[slot].cfg,
-                                          items[slot].traffic,
-                                          items[slot].params);
-                        ckpt::Writer w;
-                        put_synth_result(w, res);
-                        finish_point(keys[slot], slot, true, w.bytes(), "",
-                                     answers);
-                    } catch (const std::exception &e) {
-                        // The simulator is deterministic: an in-process
-                        // retry would fail identically, so the point
-                        // quarantines immediately.
-                        batch_ok = false;
-                        finish_point(keys[slot], slot, false, {},
-                                     std::string("point threw: ") + e.what(),
-                                     answers);
-                    }
-                    done[pi] = true;
-                }
-                TraceEvent ev{};
-                ev.kind = EventKind::kServeExec;
-                ev.node = static_cast<NodeId>(pending[batches[bi].front()]);
-                ev.a = static_cast<std::int32_t>(batches[bi].size());
-                ev.b = batch_ok ? 0 : 1;
-                emit(ev);
-            });
+            proc = std::make_unique<ProcRunner>(popts);
         }
+        ExecOptions eopts;
+        eopts.jobs = cfg_.exec.jobs;
+        SweepRunner runner(eopts);
+        // One job per miss, published the moment it finishes: a waiter
+        // on one point never waits for its siblings, and a daemon killed
+        // mid-request keeps every point that completed.
+        runner.run_jobs(pending.size(), [&](std::size_t p) {
+            const std::size_t slot = pending[p];
+            const PointReport rep =
+                execute_point(slot, items[slot], proc.get());
+            const bool ok = rep.status != PointStatus::kQuarantined;
+            std::vector<std::uint8_t> payload;
+            if (ok) {
+                ckpt::Writer w;
+                put_synth_result(w, rep.result);
+                payload = w.bytes();
+            }
+            finish_point(keys[slot], slot, ok, payload,
+                         ok ? "" : rep.failure_reason(), answers);
+            done[p] = 1;
+
+            TraceEvent ev{};
+            ev.kind = EventKind::kServeExec;
+            ev.node = static_cast<NodeId>(slot);
+            ev.a = rep.attempts;
+            ev.b = ok ? 0 : 1;
+            emit(ev);
+        });
     } catch (const std::exception &e) {
         // Supervisor-side failure (unrunnable worker, unwritable
         // scratch, ...): quarantine whatever did not finish so the
         // claimed keys are released and the client gets a reason.
         for (std::size_t q = 0; q < pending.size(); ++q) {
-            if (!done[q]) {
+            if (done[q] == 0) {
                 finish_point(keys[pending[q]], pending[q], false, {},
                              std::string("executor failed: ") + e.what(),
                              answers);

@@ -7,12 +7,12 @@
  * sealed point-spec images (exec/point_codec.h); every point is keyed
  * by its 64-bit "PNT1" identity hash and answered from the persistent
  * result cache (serve/cache.h) when possible. Misses execute through
- * the existing execution machinery — the in-process ThreadPool path by
- * default, or supervised catnap_sim worker subprocesses (ProcRunner,
- * with its retry/backoff and quarantine semantics) under
- * ServeExecPolicy::isolate — and land in the cache the moment each
- * point completes, so a daemon killed mid-sweep loses at most the
- * point in flight.
+ * the per-point path of exec/sweep.h — in-process by default, or in a
+ * supervised catnap_sim worker subprocess (ProcRunner, with its
+ * retry/backoff and quarantine semantics) under
+ * ServeExecPolicy::isolate. Each point is its own pool job and lands in
+ * the cache the moment it completes, in either mode, so a daemon killed
+ * mid-sweep loses only the points in flight.
  *
  * Concurrency contract:
  *   - one handler thread per connection; the cache, statistics, and
@@ -23,13 +23,6 @@
  *   - quarantined points are never inserted into the cache, so a
  *     transient failure (isolate mode) is retried by the next request
  *     instead of being served forever.
- *
- * Adaptive batching: cheap low-load points are coalesced into one
- * executor job (up to ServeExecPolicy::batch_max points at or below
- * batch_load_max offered load) so very wide grids stay amortised.
- * Batching changes scheduling only — each point still runs
- * run_synthetic() on private state, so result bytes and delivery order
- * are untouched.
  *
  * Determinism contract: a result is encoded once (bit-exact doubles)
  * when its point first executes; every later response replays those
@@ -64,13 +57,6 @@ struct ServeExecPolicy
 {
     /** Worker threads for miss execution; 0 = one per core. */
     int jobs = 0;
-
-    /** Points per coalesced executor job; 1 disables batching. */
-    std::size_t batch_max = 4;
-
-    /** Offered-load ceiling for a point to count as "cheap" and be
-     * coalesced; points above it always get their own job. */
-    double batch_load_max = 0.15;
 
     /** Execute misses in supervised catnap_sim worker subprocesses
      * (exec/proc_runner.h) instead of in-process threads: crash
@@ -120,7 +106,6 @@ struct ServeStats
     std::uint64_t misses = 0;      ///< points executed for the requester
     std::uint64_t quarantined = 0; ///< points answered as quarantined
     std::uint64_t executed = 0;    ///< simulation points actually run
-    std::uint64_t batches = 0;     ///< executor jobs dispatched
     std::uint64_t evicted = 0;     ///< cache entries evicted
     std::uint64_t cache_entries = 0;
     std::uint64_t cache_bytes = 0;

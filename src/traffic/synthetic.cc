@@ -49,8 +49,6 @@ SyntheticTraffic::SyntheticTraffic(MultiNoc *net, const SyntheticConfig &cfg,
                 static_cast<std::uint64_t>(cfg.burst_mean_len) + 1);
         }
     }
-    const double load = cfg.load;
-    schedule_ = [load](Cycle) { return load; };
 }
 
 double
@@ -78,7 +76,7 @@ SyntheticTraffic::node_load(NodeId n, Cycle now, double base)
 void
 SyntheticTraffic::step(Cycle now)
 {
-    const double base = schedule_(now);
+    const double base = schedule_ ? schedule_(now) : cfg_.load;
     const int nodes = net_->num_nodes();
     for (NodeId n = 0; n < nodes; ++n) {
         const double load = node_load(n, now, base);

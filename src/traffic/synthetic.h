@@ -52,8 +52,9 @@ struct SyntheticConfig
 };
 
 /**
- * A load schedule maps the current cycle to an offered load, enabling
- * burst experiments. The default schedule is constant.
+ * A load schedule maps the current cycle to an absolute offered load,
+ * enabling burst experiments. Without one the load is the constant
+ * SyntheticConfig::load.
  */
 using LoadSchedule = std::function<double(Cycle)>;
 
@@ -79,15 +80,17 @@ class SyntheticTraffic
     SyntheticTraffic(MultiNoc *net, const SyntheticConfig &cfg,
                      std::uint64_t seed);
 
-    /** Replaces the constant load with @p schedule. */
+    /** Replaces the constant load with @p schedule (until cleared with
+     * an empty one). */
     void set_schedule(LoadSchedule schedule)
     {
         schedule_ = std::move(schedule);
     }
 
-    /** Changes the constant offered load. Warm-up forking uses this: a
-     * generator warmed at a base load is forked and each fork measures
-     * its own sweep point's load. */
+    /** Changes the constant offered load (a schedule, if installed,
+     * takes precedence). Warm-up forking uses this: a generator warmed
+     * at a base load is forked and each fork measures its own sweep
+     * point's load. */
     void set_load(double load) { cfg_.load = load; }
 
     /** Records every generated packet (not owned; may be null). */

@@ -443,6 +443,22 @@ TEST(CkptForkWarmup, SweepMatchesFromScratchWithFaultPlan)
     expect_forked_sweep_identical(cfg);
 }
 
+TEST(CkptForkWarmup, ForkMeasuresItsOwnLoad)
+{
+    // Identity against a from-scratch run that also calls set_load()
+    // cannot catch a set_load() the generator ignores; the offered rate
+    // can. Warm at a light load, fork, and measure at a heavy one.
+    SyntheticConfig traffic;
+    traffic.load = 0.02;
+    SyntheticRun warm(test_config(), traffic, short_params());
+    warm.run_warmup();
+    std::unique_ptr<SyntheticRun> fork = warm.fork();
+    fork->set_load(0.30);
+    const SyntheticResult r = fork->finish();
+    EXPECT_DOUBLE_EQ(r.offered_load, 0.30);
+    EXPECT_NEAR(r.offered_rate, 0.30, 0.015);
+}
+
 // -- Mid-run save / resume -------------------------------------------------
 
 TEST(CkptResume, WarmupCheckpointReproducesUninterruptedRun)

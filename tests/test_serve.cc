@@ -17,7 +17,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -621,6 +623,58 @@ TEST(ServeServer, IsolateBackendMatchesInProcessBytes)
         serve::run_batch_served(items, client_options(cfg));
     ASSERT_TRUE(got.ok()) << got.quarantine_summary();
     EXPECT_EQ(to_csv(got.merged()), to_csv(run_batch(items)));
+    server.stop();
+}
+
+TEST(ServeServer, IsolatedMissIsCachedBeforeItsSiblingsFinish)
+{
+    // The worker for items[1] stalls until the test creates `release`.
+    // Its sibling in the same request must reach the cache — and be
+    // served to a second client as a hit — while it is still stalled.
+    const std::string dir = fresh_dir("durable");
+    const auto items = serve_items({0.02, 0.05});
+    char key[17];
+    std::snprintf(key, sizeof key, "%016llx",
+                  static_cast<unsigned long long>(point_hash(items[1])));
+    const std::string release = dir + "/release";
+    const std::string worker = dir + "/worker.sh";
+    {
+        std::ofstream out(worker);
+        out << "#!/bin/sh\ncase \"$2\" in *" << key << "*)\n"
+            << "  while [ ! -e " << release << " ]; do sleep 0.02; done;;\n"
+            << "esac\nexec " << CATNAP_SIM_PATH << " \"$@\"\n";
+    }
+    ::chmod(worker.c_str(), 0755);
+
+    ServeConfig cfg = server_config(dir);
+    cfg.exec.isolate = true;
+    cfg.exec.worker = worker;
+    cfg.exec.scratch = dir + "/scratch";
+    ServeServer server(cfg);
+    server.start();
+
+    ServedSweep both;
+    std::thread first(
+        [&] { both = serve::run_batch_served(items, client_options(cfg)); });
+    bool cached = false;
+    for (int i = 0; i < 500 && !cached; ++i) {
+        cached = server.stats().cache_entries == 1;
+        if (!cached)
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    ServedSweep fast;
+    if (cached)
+        fast = serve::run_batch_served({items[0]}, client_options(cfg));
+    const std::uint64_t entries_while_stalled = server.stats().cache_entries;
+
+    std::ofstream(release).put('x');
+    first.join();
+    EXPECT_TRUE(cached) << "finished point was not cached while its "
+                           "sibling stalled";
+    EXPECT_EQ(fast.hits, cached ? 1u : 0u);
+    EXPECT_EQ(entries_while_stalled, 1u);
+    ASSERT_TRUE(both.ok()) << both.quarantine_summary();
+    EXPECT_EQ(to_csv(both.merged()), to_csv(run_batch(items)));
     server.stop();
 }
 

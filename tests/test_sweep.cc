@@ -1,0 +1,222 @@
+/**
+ * @file
+ * Tests for the one sweep-execution interface (src/exec/sweep.h): the
+ * shared flag parser and exclusion rules, run_sweep()'s backends and
+ * provenance, and the mapping of failures onto exit codes.
+ *
+ * The load-bearing guarantee: every backend returns results in item
+ * order, byte-identical to the serial run_batch() — compared through
+ * write_csv(), the serialization the plotting scripts consume.
+ */
+#include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "exec/sweep.h"
+#include "sim/report.h"
+#include "sim/simulator.h"
+
+namespace catnap {
+namespace {
+
+std::vector<RunItem>
+sweep_items(std::initializer_list<double> loads)
+{
+    MultiNocConfig cfg = multi_noc_config(2);
+    cfg.mesh_width = cfg.mesh_height = 4;
+    cfg.region_width = 2;
+    RunParams rp;
+    rp.warmup = 200;
+    rp.measure = 600;
+    rp.drain_max = 1500;
+    std::vector<RunItem> items;
+    for (const double load : loads) {
+        SyntheticConfig traffic;
+        traffic.load = load;
+        items.push_back(RunItem{cfg, traffic, rp});
+    }
+    return items;
+}
+
+std::string
+to_csv(const std::vector<SyntheticResult> &rows)
+{
+    std::ostringstream os;
+    write_csv(os, rows);
+    return os.str();
+}
+
+SweepOptions
+isolated(const std::string &tag)
+{
+    SweepOptions opts;
+    opts.isolate = true;
+    opts.worker = CATNAP_SIM_PATH;
+    opts.scratch = ::testing::TempDir() + "catnap_sweep_" + tag;
+    return opts;
+}
+
+/** Parses @p args (after a program name) as sweep flags. */
+SweepOptions
+parse(std::vector<std::string> args, unsigned accept = kAllSweepFlags)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    SweepOptions opts;
+    const int argc = static_cast<int>(argv.size());
+    for (int i = 1; i < argc; ++i) {
+        if (!parse_sweep_flag(argc, argv.data(), i, accept, opts))
+            ADD_FAILURE() << "not a sweep flag: " << argv[i];
+    }
+    return opts;
+}
+
+// ---------------------------------------------------------------------
+// Flags and exclusion rules
+// ---------------------------------------------------------------------
+
+TEST(SweepCli, ParsesEveryFlagGroup)
+{
+    const SweepOptions opts =
+        parse({"--jobs", "3", "--isolate", "--worker", "w", "--scratch", "s",
+               "--journal", "j", "--resume", "--point-timeout", "500",
+               "--point-retries", "0"});
+    EXPECT_EQ(opts.jobs, 3);
+    EXPECT_TRUE(opts.isolate);
+    EXPECT_EQ(opts.worker, "w");
+    EXPECT_EQ(opts.scratch, "s");
+    EXPECT_EQ(opts.journal, "j");
+    EXPECT_TRUE(opts.resume);
+    EXPECT_EQ(opts.point_timeout_ms, 500);
+    EXPECT_EQ(opts.point_retries, 0);
+    EXPECT_EQ(parse({"--serve", "sock"}).serve, "sock");
+}
+
+TEST(SweepCli, GroupsOutsideTheAcceptMaskAreNotConsumed)
+{
+    std::string flag = "--isolate";
+    char *argv[] = {flag.data(), flag.data()};
+    int i = 1;
+    SweepOptions opts;
+    EXPECT_FALSE(parse_sweep_flag(2, argv, i, kJobsFlag, opts));
+    EXPECT_FALSE(opts.isolate);
+}
+
+TEST(SweepCliDeathTest, BadValuesExitThree)
+{
+    EXPECT_EXIT(parse({"--jobs", "banana"}), ::testing::ExitedWithCode(3),
+                "invalid value 'banana' for --jobs: not an integer");
+    EXPECT_EXIT(parse({"--point-timeout", "-1"}),
+                ::testing::ExitedWithCode(3), "must be non-negative");
+    EXPECT_EXIT(parse({"--point-retries", "101"}),
+                ::testing::ExitedWithCode(3), "must be in \\[0, 100\\]");
+    EXPECT_EXIT(parse_real("--load", "nan", 0.0, 1.0),
+                ::testing::ExitedWithCode(3), "must be finite");
+    EXPECT_EXIT(parse({"--jobs"}), ::testing::ExitedWithCode(2),
+                "missing value for --jobs");
+}
+
+TEST(SweepCliDeathTest, ExclusionRulesExitTwo)
+{
+    EXPECT_EXIT(check_sweep_options(parse({"--journal", "j"})),
+                ::testing::ExitedWithCode(2), "require --isolate");
+    EXPECT_EXIT(check_sweep_options(parse({"--worker", "w"})),
+                ::testing::ExitedWithCode(2), "require --isolate");
+    EXPECT_EXIT(check_sweep_options(parse({"--isolate", "--resume"})),
+                ::testing::ExitedWithCode(2), "--resume requires --journal");
+    EXPECT_EXIT(check_sweep_options(parse({"--isolate", "--serve", "s"})),
+                ::testing::ExitedWithCode(2), "mutually exclusive");
+    EXPECT_EXIT(check_sweep_options(parse({"--serve", "s"}), true),
+                ::testing::ExitedWithCode(2), "--fork-warmup excludes");
+}
+
+TEST(SweepCli, ValidCombinationsPassTheRules)
+{
+    check_sweep_options(parse({"--jobs", "2"}), true);
+    check_sweep_options(
+        parse({"--isolate", "--journal", "j", "--resume", "--scratch", "s"}));
+    check_sweep_options(parse({"--serve", "s", "--jobs", "4"}));
+}
+
+// ---------------------------------------------------------------------
+// Backends, provenance and exit codes
+// ---------------------------------------------------------------------
+
+TEST(SweepBackend, LocalMatchesRunBatchAndReportsExecuted)
+{
+    const auto items = sweep_items({0.02, 0.05, 0.08});
+    SweepOptions opts;
+    opts.jobs = 2;
+    const SweepOutcome out = run_sweep(items, opts);
+    ASSERT_EQ(out.exit_code, 0) << out.fatal;
+    EXPECT_STREQ(out.backend, "local");
+    EXPECT_EQ(out.executed, items.size());
+    for (const Provenance p : out.provenance)
+        EXPECT_EQ(p, Provenance::kExecuted);
+    EXPECT_EQ(to_csv(out.results), to_csv(run_batch(items)));
+    EXPECT_EQ(out.status_line(), "[local] 0 hit(s), 3 executed, 0 point(s) "
+                                 "from journal, 0 quarantined\n");
+}
+
+TEST(SweepBackend, IsolateMatchesLocalAndResumesFromTheJournal)
+{
+    const auto items = sweep_items({0.02, 0.05});
+    SweepOptions opts = isolated("resume");
+    opts.journal = opts.scratch + "/sweep.journal";
+    const SweepOutcome fresh = run_sweep(items, opts);
+    ASSERT_EQ(fresh.exit_code, 0) << fresh.fatal;
+    EXPECT_STREQ(fresh.backend, "isolate");
+    EXPECT_EQ(fresh.executed, items.size());
+    EXPECT_EQ(to_csv(fresh.results), to_csv(run_batch(items)));
+
+    opts.resume = true;
+    opts.worker = "/nonexistent/worker"; // must never be needed
+    const SweepOutcome resumed = run_sweep(items, opts);
+    ASSERT_EQ(resumed.exit_code, 0) << resumed.fatal;
+    EXPECT_EQ(resumed.from_journal, items.size());
+    EXPECT_EQ(resumed.provenance[1], Provenance::kFromJournal);
+    EXPECT_EQ(to_csv(resumed.results), to_csv(fresh.results));
+}
+
+TEST(SweepBackend, QuarantineExitsFourWithADeterministicSummary)
+{
+    const auto items = sweep_items({0.02, 0.05});
+    SweepOptions opts = isolated("quar");
+    opts.worker = "/bin/false";
+    opts.point_retries = 0;
+    const SweepOutcome a = run_sweep(items, opts);
+    const SweepOutcome b = run_sweep(items, opts);
+    EXPECT_EQ(a.exit_code, kExitQuarantine);
+    EXPECT_EQ(a.quarantined, items.size());
+    EXPECT_EQ(a.provenance[0], Provenance::kQuarantined);
+    EXPECT_NE(a.quarantine_summary.find("point 1 key="), std::string::npos);
+    EXPECT_NE(a.quarantine_summary.find("1 attempt(s) [exit code 1]"),
+              std::string::npos);
+    EXPECT_EQ(a.quarantine_summary, b.quarantine_summary);
+}
+
+TEST(SweepBackend, UnspawnableWorkerIsASupervisorFault)
+{
+    SweepOptions opts = isolated("nospawn");
+    opts.worker = "/nonexistent/worker";
+    const SweepOutcome out = run_sweep(sweep_items({0.02}), opts);
+    EXPECT_EQ(out.exit_code, kExitRuntime);
+    EXPECT_NE(out.fatal.find("cannot spawn"), std::string::npos);
+}
+
+TEST(SweepBackend, ThrowingInProcessPointQuarantines)
+{
+    // The traffic generator throws on a load above 1 packet/node/cycle.
+    auto items = sweep_items({0.02});
+    items[0].traffic.load = 2.0;
+    const SweepOutcome out = run_sweep(items, SweepOptions{});
+    EXPECT_EQ(out.exit_code, kExitQuarantine);
+    EXPECT_NE(out.quarantine_summary.find("point threw"), std::string::npos);
+}
+
+} // namespace
+} // namespace catnap

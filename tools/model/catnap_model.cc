@@ -13,6 +13,7 @@
  *      by --expect-violation was found)
  *   1  property violated (or an expected violation was not found)
  *   2  usage error
+ *   3  invalid option value
  *   4  state/depth cap hit before the fixpoint, no violation found
  */
 #include <cstdlib>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/sarif.h"
+#include "exec/sweep.h"
 #include "model/checker.h"
 
 namespace {
@@ -120,19 +122,6 @@ write_model_sarif(const std::string &path, const CheckResult &result)
                               results);
 }
 
-bool
-parse_int(const std::string &s, long long *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    const long long v = std::strtoll(s.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v < 0)
-        return false;
-    *out = v;
-    return true;
-}
-
 } // namespace
 
 int
@@ -150,23 +139,21 @@ main(int argc, char **argv)
             }
             return args[++i];
         };
-        long long v = 0;
+        // Strict count: whole string, non-negative, exits 3 otherwise.
+        const auto count = [&](const char *flag, long long hi) {
+            return catnap::parse_int(flag, need_value(flag), 0, hi);
+        };
         if (a == "--max-states") {
-            if (!parse_int(need_value("--max-states"), &v))
-                std::exit(2);
-            cli.opts.max_states = static_cast<std::size_t>(v);
+            cli.opts.max_states =
+                static_cast<std::size_t>(count("--max-states", 1ll << 40));
         } else if (a == "--max-depth") {
-            if (!parse_int(need_value("--max-depth"), &v))
-                std::exit(2);
-            cli.opts.max_depth = static_cast<int>(v);
+            cli.opts.max_depth = static_cast<int>(count("--max-depth", 1 << 20));
         } else if (a == "--probe-bound") {
-            if (!parse_int(need_value("--probe-bound"), &v))
-                std::exit(2);
-            cli.opts.probe_bound = static_cast<int>(v);
+            cli.opts.probe_bound =
+                static_cast<int>(count("--probe-bound", 1 << 20));
         } else if (a == "--fault-budget") {
-            if (!parse_int(need_value("--fault-budget"), &v))
-                std::exit(2);
-            cli.opts.config.fault_budget = static_cast<int>(v);
+            cli.opts.config.fault_budget =
+                static_cast<int>(count("--fault-budget", 1 << 20));
         } else if (a == "--mutate") {
             const std::string m = need_value("--mutate");
             if (m != "sleep-occupied") {
