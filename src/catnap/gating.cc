@@ -35,16 +35,16 @@ GatingPolicy::retry_state(SubnetId s, NodeId n) const
 }
 
 void
-GatingPolicy::service_wake_requests(Cycle now)
+GatingPolicy::service_wake_requests(Cycle now, std::optional<Direction> port)
 {
     for (auto &subnet : routers_) {
         for (Router *r : subnet) {
-            if (!r->wake_requested())
+            if (!r->wake_requested(port))
                 continue;
-            r->clear_wake_request();
+            r->clear_wake_request(port);
             if (fault_ && fault_->intercept_wake(r, now))
                 continue; // the fault model swallowed or deferred it
-            r->begin_wakeup(now);
+            r->begin_wakeup(now, WakeReason::kLookahead, port);
         }
     }
 }
@@ -141,20 +141,17 @@ IdleGatingPolicy::step(Cycle now)
 void
 FinePortGatingPolicy::step(Cycle now)
 {
+    // Idle gating applied to each input port's domain.
+    for (int p = 0; p < kNumPorts; ++p)
+        service_wake_requests(now, direction_from_index(p));
     for (auto &subnet : routers_) {
         for (Router *r : subnet) {
             for (int p = 0; p < kNumPorts; ++p) {
                 const Direction d = direction_from_index(p);
-                if (r->port_wake_requested(d)) {
-                    r->port_begin_wakeup(d, now);
-                    r->clear_port_wake_request(d);
-                }
-                if (r->port_can_sleep(d))
-                    r->port_enter_sleep(d, now);
+                if (r->can_sleep(d))
+                    r->enter_sleep(now, d);
             }
-            r->clear_wake_request(); // router-level FSM unused here
             r->account_power_cycle();
-            r->account_port_power_cycles();
         }
     }
 }

@@ -12,6 +12,7 @@
 #define CATNAP_CATNAP_GATING_H
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "ckpt/fwd.h"
@@ -107,8 +108,11 @@ class GatingPolicy
     CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
 
   protected:
-    /** Services wake requests for every attached router. */
-    CATNAP_PHASE_WRITE void service_wake_requests(Cycle now);
+    /** Services wake requests for every attached router's own domain,
+     * or for the domain gating input @p port (fine-grained gating). */
+    CATNAP_PHASE_WRITE void
+    service_wake_requests(Cycle now,
+                          std::optional<Direction> port = std::nullopt);
 
     /** Wake-retry/escalation scan; no-op without a fault model. */
     CATNAP_PHASE_WRITE void service_wake_retries(Cycle now);
@@ -138,8 +142,9 @@ class IdleGatingPolicy final : public GatingPolicy
 };
 
 /**
- * Fine-grained per-port gating: every input port sleeps independently
- * when idle and wakes on the port-addressed look-ahead signal.
+ * Fine-grained per-port gating: idle gating applied to each input
+ * port's PowerDomain, which sleeps independently when idle and wakes on
+ * the port-addressed look-ahead signal.
  */
 class FinePortGatingPolicy final : public GatingPolicy
 {

@@ -221,12 +221,9 @@ class MultiNoc
     CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void
     finalize_accounting()
     {
-        for (auto &subnet : routers_) {
-            for (auto &r : subnet) {
+        for (auto &subnet : routers_)
+            for (auto &r : subnet)
                 r->flush_sleep_accounting(now_);
-                r->flush_port_sleep_accounting(now_);
-            }
-        }
     }
 
     // -- Checkpointing (src/ckpt; DESIGN.md §13) ---------------------------

@@ -153,13 +153,8 @@ NetworkInterface::try_assign_head(Cycle now)
     // Announce the packet and send the wake signal to the local router
     // so its wake-up overlaps the VC allocation / streaming setup.
     Router *rtr = routers_[static_cast<std::size_t>(s)];
-    if (params_.port_gating) {
-        rtr->note_expected_packet_at(Direction::kLocal);
-        rtr->request_port_wakeup(Direction::kLocal);
-    } else {
-        rtr->note_expected_packet();
-        rtr->request_wakeup();
-    }
+    rtr->note_expected_packet(Direction::kLocal);
+    rtr->request_wakeup(Direction::kLocal);
     ++injected_packets_per_subnet_[static_cast<std::size_t>(s)];
     if (fault_)
         track_packet(slot.pkt, now);
@@ -176,12 +171,8 @@ NetworkInterface::stream_slots(Cycle now)
         if (!slot.active)
             continue;
         Router *rtr = routers_[s];
-        if (!rtr->can_accept_at(now + 1))
+        if (!rtr->can_accept_at(Direction::kLocal, now + 1))
             continue;
-        if (params_.port_gating &&
-            !rtr->can_accept_port_at(Direction::kLocal, now + 1)) {
-            continue;
-        }
         // First flit: allocate a VC on the router's local input port.
         if (slot.vc == kInvalidVc) {
             const int cls =

@@ -58,25 +58,12 @@ Router::connect(Direction d, Router *neighbor)
     }
 }
 
-bool
-Router::can_accept_at(Cycle arrival) const
-{
-    if (failed_)
-        return false;
-    switch (power_state_) {
-      case PowerState::kActive: return true;
-      case PowerState::kWakeup: return wake_done_ <= arrival;
-      case PowerState::kSleep:  return false;
-    }
-    return false;
-}
-
 void
 Router::evaluate(Cycle now)
 {
     // A gated or waking router performs no allocation; an empty router
     // with no packet mid-stream has nothing to allocate either.
-    if (failed_ || power_state_ != PowerState::kActive)
+    if (failed_ || power_.state() != PowerState::kActive)
         return;
     if (total_buffered_ == 0)
         return;
@@ -181,13 +168,8 @@ Router::run_switch_allocation(Cycle now)
                 const Cycle arrival =
                     now + static_cast<Cycle>(params_.st_delay
                                              + params_.link_delay);
-                if (!nbr->can_accept_at(arrival))
+                if (!nbr->can_accept_at(opposite(st.out_dir), arrival))
                     continue;
-                if (params_.port_gating &&
-                    !nbr->can_accept_port_at(opposite(st.out_dir),
-                                             arrival)) {
-                    continue;
-                }
             }
             if (nominee_vc[static_cast<std::size_t>(inport)] < 0)
                 nominee_vc[static_cast<std::size_t>(inport)] = invc;
@@ -308,44 +290,27 @@ Router::commit(Cycle now)
         return; // a dead router has no queued effects and no FSM to run
     // Advance the power FSMs before accepting arrivals so a wake-up
     // that completes this cycle can receive the flit timed to land now.
-    if (power_state_ == PowerState::kWakeup && now >= wake_done_) {
-        power_state_ = PowerState::kActive;
-        if (sink_)
-            sink_->on_event(
-                {now, EventKind::kRouterActive, node_, subnet_, 0, 0, 0});
-    }
-    if (params_.port_gating) {
-        for (auto &pp : port_power_) {
-            if (pp.state == PowerState::kWakeup && now >= pp.wake_done)
-                pp.state = PowerState::kActive;
-        }
-    }
+    if (power_.complete_wake(now) && sink_)
+        sink_->on_event(
+            {now, EventKind::kRouterActive, node_, subnet_, 0, 0, 0});
+    if (params_.port_gating)
+        for (auto &pd : ports_)
+            pd.complete_wake(now);
 
     apply_credits(now);
     apply_arrivals(now);
 
-    if (buffers_empty()) {
-        if (idle_streak_ < std::numeric_limits<int>::max())
-            ++idle_streak_;
-        if (sink_ && idle_streak_ == params_.t_idle_detect &&
-            power_state_ == PowerState::kActive) {
-            sink_->on_event({now, EventKind::kRouterIdleDetect, node_,
-                             subnet_, idle_streak_, 0, 0});
-        }
-    } else {
-        idle_streak_ = 0;
+    const bool empty = buffers_empty();
+    power_.note_idle(empty);
+    if (sink_ && empty && power_.idle_streak() == params_.t_idle_detect &&
+        power_.state() == PowerState::kActive) {
+        sink_->on_event({now, EventKind::kRouterIdleDetect, node_, subnet_,
+                         power_.idle_streak(), 0, 0});
     }
-    if (params_.port_gating) {
-        for (int p = 0; p < kNumPorts; ++p) {
-            auto &pp = port_power_[static_cast<std::size_t>(p)];
-            if (port_occupancy(direction_from_index(p)) == 0) {
-                if (pp.idle_streak < std::numeric_limits<int>::max())
-                    ++pp.idle_streak;
-            } else {
-                pp.idle_streak = 0;
-            }
-        }
-    }
+    if (params_.port_gating)
+        for (int p = 0; p < kNumPorts; ++p)
+            ports_[static_cast<std::size_t>(p)].note_idle(
+                port_occupancy(direction_from_index(p)) == 0);
 }
 
 void
@@ -358,17 +323,11 @@ Router::apply_arrivals(Cycle now)
             arrivals_[kept++] = a;
             continue;
         }
-        CATNAP_ASSERT(power_state_ == PowerState::kActive,
+        CATNAP_ASSERT(power_state(a.inport) == PowerState::kActive,
                       "flit arrived at a non-active router ", node_,
-                      " subnet ", subnet_, " state ",
-                      power_state_name(power_state_));
-        if (params_.port_gating) {
-            const auto &pp =
-                port_power_[static_cast<std::size_t>(port_index(a.inport))];
-            CATNAP_ASSERT(pp.state == PowerState::kActive,
-                          "flit arrived at a gated port of router ",
-                          node_);
-        }
+                      " subnet ", subnet_, " port ",
+                      direction_name(a.inport), " state ",
+                      power_state_name(power_state(a.inport)));
         CATNAP_ASSERT(a.flit.vc >= 0 && a.flit.vc < params_.num_vcs,
                       "flit with unallocated VC");
         const auto idx = fifo_index(port_index(a.inport), a.flit.vc);
@@ -383,31 +342,17 @@ Router::apply_arrivals(Cycle now)
 
         if (a.flit.is_head()) {
             // The announced packet has arrived.
-            if (params_.port_gating) {
-                auto &pp = port_power_[static_cast<std::size_t>(
-                    port_index(a.inport))];
-                CATNAP_ASSERT(pp.expected > 0,
-                              "unannounced head flit at node ", node_);
-                --pp.expected;
-            } else {
-                CATNAP_ASSERT(expected_packets_ > 0,
-                              "unannounced head flit at node ", node_);
-                --expected_packets_;
-            }
+            CATNAP_ASSERT(domain(a.inport).expected() > 0,
+                          "unannounced head flit at node ", node_);
+            domain(a.inport).packet_arrived();
             // Announce it one hop further and send the look-ahead wake
             // signal to the next router (Section 3.3).
             if (a.flit.out_dir != Direction::kLocal) {
                 Router *nxt = neighbors_[static_cast<std::size_t>(
                     port_index(a.flit.out_dir))];
                 CATNAP_ASSERT(nxt != nullptr, "head routed off mesh");
-                if (params_.port_gating) {
-                    nxt->note_expected_packet_at(
-                        opposite(a.flit.out_dir));
-                    nxt->request_port_wakeup(opposite(a.flit.out_dir));
-                } else {
-                    nxt->note_expected_packet();
-                    nxt->request_wakeup();
-                }
+                nxt->note_expected_packet(opposite(a.flit.out_dir));
+                nxt->request_wakeup(opposite(a.flit.out_dir));
             }
         }
     }
@@ -435,33 +380,43 @@ Router::apply_credits(Cycle now)
 }
 
 bool
-Router::can_sleep() const
+Router::can_sleep(std::optional<Direction> port) const
 {
-    if (failed_ || power_state_ != PowerState::kActive)
+    if (failed_ || power_state(port) != PowerState::kActive)
         return false;
     // Seeded mutation (tools/model/ self-test): skip every occupancy
     // and idle-detect condition, i.e. the bug class property P4 exists
     // to catch. See set_model_unsafe_sleep_for_test().
     if (unsafe_sleep_for_test_)
         return true;
-    if (idle_streak_ < params_.t_idle_detect)
+    if (!domain(port).can_sleep(params_.t_idle_detect))
         return false;
-    if (!arrivals_.empty() || expected_packets_ > 0)
-        return false;
-    for (const auto &st : vc_state_)
-        if (st.active)
+    // No flit in flight toward, and no packet mid-stream at, any input
+    // port this domain gates.
+    const PowerDomain *self = &domain(port);
+    for (const auto &a : arrivals_)
+        if (&domain(a.inport) == self)
             return false;
+    for (int p = 0; p < kNumPorts; ++p) {
+        if (&domain(direction_from_index(p)) != self)
+            continue;
+        for (int vc = 0; vc < params_.num_vcs; ++vc)
+            if (vc_state_[fifo_index(p, vc)].active)
+                return false;
+    }
     return true;
 }
 
 void
-Router::enter_sleep(Cycle now)
+Router::enter_sleep(Cycle now, std::optional<Direction> port)
 {
-    CATNAP_ASSERT(power_state_ == PowerState::kActive, "sleep from non-active");
+    domain(port).sleep(now);
+    if (!router_level(port)) {
+        ++activity_.port_sleep_transitions;
+        return;
+    }
     CATNAP_ASSERT(buffers_empty() || unsafe_sleep_for_test_,
                   "sleep with buffered flits");
-    power_state_ = PowerState::kSleep;
-    sleep_start_ = now;
     ++activity_.sleep_transitions;
     if (sink_)
         sink_->on_event(
@@ -469,44 +424,43 @@ Router::enter_sleep(Cycle now)
 }
 
 void
-Router::begin_wakeup(Cycle now, WakeReason reason)
+Router::begin_wakeup(Cycle now, WakeReason reason,
+                     std::optional<Direction> port)
 {
-    if (failed_ || power_state_ != PowerState::kSleep)
+    if (failed_ || power_state(port) != PowerState::kSleep)
         return;
-    const auto period = static_cast<std::int64_t>(now - sleep_start_);
-    const auto be = static_cast<std::int64_t>(params_.t_breakeven);
-    const std::int64_t csc_total = std::max<std::int64_t>(0, period - be);
-    const std::int64_t net_total = period - be;
-    activity_.compensated_sleep_cycles += csc_total - csc_credited_;
-    activity_.net_sleep_savings_cycles += net_total - net_credited_;
-    csc_credited_ = 0;
-    net_credited_ = 0;
-    power_state_ = PowerState::kWakeup;
     // A wake-stuck fault arms a wake that never matures; only a retry
     // escalation or hard failure ends it.
-    wake_done_ =
+    const Cycle done =
         wake_stuck_ ? kNoCycle : now + static_cast<Cycle>(params_.t_wakeup);
-    if (sink_)
+    credit_sleep(port, domain(port).wake(now, done, params_.t_breakeven));
+    if (sink_ && router_level(port))
         sink_->on_event({now, EventKind::kRouterWakeBegin, node_, subnet_,
                          static_cast<std::int32_t>(reason),
                          params_.t_wakeup, 0});
 }
 
 void
+Router::credit_sleep(std::optional<Direction> port, SleepCredit c)
+{
+    if (router_level(port)) {
+        activity_.compensated_sleep_cycles += c.csc;
+        activity_.net_sleep_savings_cycles += c.net;
+    } else {
+        activity_.port_compensated_sleep_cycles += c.csc;
+        activity_.port_net_sleep_savings_cycles += c.net;
+    }
+}
+
+void
 Router::retry_wakeup(Cycle now)
 {
-    if (failed_ || power_state_ != PowerState::kWakeup)
+    if (failed_ || power_.state() != PowerState::kWakeup)
         return;
-    if (wake_stuck_) {
-        wake_done_ = kNoCycle; // re-asserted, hangs again
-        return;
-    }
-    // A healthy wake already counting down must never be pushed back:
-    // upstream routers may have flits in flight timed to the current
-    // wake_done_ (can_accept_at admitted them).
-    const Cycle done = now + static_cast<Cycle>(params_.t_wakeup);
-    if (done < wake_done_)
-        wake_done_ = done;
+    // A stuck wake is re-asserted and hangs again; a healthy one
+    // restarts its t_wakeup countdown unless already due sooner.
+    power_.rearm_wake(wake_stuck_ ? kNoCycle
+                                  : now + static_cast<Cycle>(params_.t_wakeup));
 }
 
 void
@@ -537,172 +491,36 @@ Router::fail(std::vector<Flit> *dropped)
                                         : 0;
         }
     }
-    expected_packets_ = 0;
-    wake_requested_ = false;
-    idle_streak_ = 0;
     // Leave kActive behind so no invariant sees an impossible FSM edge;
     // failed() short-circuits every service path from here on.
-    power_state_ = PowerState::kActive;
+    power_.abandon();
     failed_ = true;
-}
-
-bool
-Router::can_accept_port_at(Direction inport, Cycle arrival) const
-{
-    if (!params_.port_gating)
-        return can_accept_at(arrival);
-    const auto &pp =
-        port_power_[static_cast<std::size_t>(port_index(inport))];
-    switch (pp.state) {
-      case PowerState::kActive: return true;
-      case PowerState::kWakeup: return pp.wake_done <= arrival;
-      case PowerState::kSleep:  return false;
-    }
-    return false;
-}
-
-void
-Router::note_expected_packet_at(Direction inport)
-{
-    ++port_power_[static_cast<std::size_t>(port_index(inport))].expected;
-}
-
-void
-Router::request_port_wakeup(Direction inport)
-{
-    port_power_[static_cast<std::size_t>(port_index(inport))]
-        .wake_requested = true;
-}
-
-PowerState
-Router::port_power_state(Direction inport) const
-{
-    return port_power_[static_cast<std::size_t>(port_index(inport))].state;
-}
-
-bool
-Router::port_wake_requested(Direction inport) const
-{
-    return port_power_[static_cast<std::size_t>(port_index(inport))]
-        .wake_requested;
-}
-
-void
-Router::clear_port_wake_request(Direction inport)
-{
-    port_power_[static_cast<std::size_t>(port_index(inport))]
-        .wake_requested = false;
-}
-
-bool
-Router::port_can_sleep(Direction inport) const
-{
-    const int p = port_index(inport);
-    const auto &pp = port_power_[static_cast<std::size_t>(p)];
-    if (pp.state != PowerState::kActive)
-        return false;
-    if (pp.idle_streak < params_.t_idle_detect || pp.expected > 0)
-        return false;
-    for (const auto &a : arrivals_) {
-        if (port_index(a.inport) == p)
-            return false;
-    }
-    for (int vc = 0; vc < params_.num_vcs; ++vc) {
-        if (vc_state_[fifo_index(p, vc)].active)
-            return false;
-    }
-    return true;
-}
-
-void
-Router::port_enter_sleep(Direction inport, Cycle now)
-{
-    auto &pp = port_power_[static_cast<std::size_t>(port_index(inport))];
-    CATNAP_ASSERT(pp.state == PowerState::kActive,
-                  "port sleep from non-active state");
-    pp.state = PowerState::kSleep;
-    pp.sleep_start = now;
-    ++activity_.port_sleep_transitions;
-}
-
-void
-Router::port_begin_wakeup(Direction inport, Cycle now)
-{
-    auto &pp = port_power_[static_cast<std::size_t>(port_index(inport))];
-    if (pp.state != PowerState::kSleep)
-        return;
-    const auto period = static_cast<std::int64_t>(now - pp.sleep_start);
-    const auto be = static_cast<std::int64_t>(params_.t_breakeven);
-    const std::int64_t csc_total = std::max<std::int64_t>(0, period - be);
-    const std::int64_t net_total = period - be;
-    activity_.port_compensated_sleep_cycles += csc_total - pp.csc_credited;
-    activity_.port_net_sleep_savings_cycles += net_total - pp.net_credited;
-    pp.csc_credited = 0;
-    pp.net_credited = 0;
-    pp.state = PowerState::kWakeup;
-    pp.wake_done = now + static_cast<Cycle>(params_.t_wakeup);
-}
-
-void
-Router::account_port_power_cycles()
-{
-    for (const auto &pp : port_power_) {
-        if (pp.state == PowerState::kSleep)
-            ++activity_.port_sleep_cycles;
-    }
 }
 
 void
 Router::flush_sleep_accounting(Cycle now)
 {
-    if (power_state_ != PowerState::kSleep)
-        return;
-    const auto period = static_cast<std::int64_t>(now - sleep_start_);
-    const auto be = static_cast<std::int64_t>(params_.t_breakeven);
-    const std::int64_t csc_total = std::max<std::int64_t>(0, period - be);
-    const std::int64_t net_total = period - be;
-    activity_.compensated_sleep_cycles += csc_total - csc_credited_;
-    activity_.net_sleep_savings_cycles += net_total - net_credited_;
-    csc_credited_ = csc_total;
-    net_credited_ = net_total;
-}
-
-void
-Router::flush_port_sleep_accounting(Cycle now)
-{
-    if (!params_.port_gating)
-        return;
-    for (auto &pp : port_power_) {
-        if (pp.state != PowerState::kSleep)
-            continue;
-        const auto period =
-            static_cast<std::int64_t>(now - pp.sleep_start);
-        const auto be = static_cast<std::int64_t>(params_.t_breakeven);
-        const std::int64_t csc_total =
-            std::max<std::int64_t>(0, period - be);
-        const std::int64_t net_total = period - be;
-        activity_.port_compensated_sleep_cycles +=
-            csc_total - pp.csc_credited;
-        activity_.port_net_sleep_savings_cycles +=
-            net_total - pp.net_credited;
-        pp.csc_credited = csc_total;
-        pp.net_credited = net_total;
-    }
+    credit_sleep(std::nullopt, power_.flush(now, params_.t_breakeven));
+    if (params_.port_gating)
+        for (int p = 0; p < kNumPorts; ++p) {
+            const Direction d = direction_from_index(p);
+            credit_sleep(d, domain(d).flush(now, params_.t_breakeven));
+        }
 }
 
 void
 Router::account_power_cycle()
 {
-    if (failed_) {
-        // A dead router draws nothing worth modelling; count it with the
-        // gated cycles so power totals reflect the lost capacity.
-        ++activity_.sleep_cycles;
-        return;
-    }
-    if (power_state_ == PowerState::kSleep)
+    // A dead router draws nothing worth modelling; count it with the
+    // gated cycles so power totals reflect the lost capacity.
+    if (failed_ || power_.state() == PowerState::kSleep)
         ++activity_.sleep_cycles;
     else
         ++activity_.active_cycles;
+    if (params_.port_gating)
+        for (const auto &pd : ports_)
+            if (pd.state() == PowerState::kSleep)
+                ++activity_.port_sleep_cycles;
 }
 
 int
@@ -839,28 +657,12 @@ Router::Serialize(ckpt::Writer &w) const
         w.put_i32(c.vc);
     }
 
-    w.put_i32(static_cast<int>(power_state_));
-    w.put_u64(wake_done_);
-    w.put_u64(sleep_start_);
-    w.put_i64(csc_credited_);
-    w.put_i64(net_credited_);
-    w.put_bool(wake_requested_);
-    w.put_i32(expected_packets_);
-    w.put_i32(idle_streak_);
+    power_.Serialize(w, PowerDomain::CkptOrder::kRouter);
     w.put_bool(failed_);
     w.put_bool(wake_stuck_);
     w.put_i32(total_buffered_);
-
-    for (const PortPower &p : port_power_) {
-        w.put_i32(static_cast<int>(p.state));
-        w.put_u64(p.wake_done);
-        w.put_u64(p.sleep_start);
-        w.put_i64(p.csc_credited);
-        w.put_i64(p.net_credited);
-        w.put_i32(p.idle_streak);
-        w.put_i32(p.expected);
-        w.put_bool(p.wake_requested);
-    }
+    for (const auto &pd : ports_)
+        pd.Serialize(w, PowerDomain::CkptOrder::kPort);
 
     w.put_u64(head_block_cycles_);
     w.put_u64(switched_flits_);
@@ -902,28 +704,12 @@ Router::Deserialize(ckpt::Reader &r)
         c.vc = r.take_i32();
     }
 
-    power_state_ = static_cast<PowerState>(r.take_i32());
-    wake_done_ = r.take_u64();
-    sleep_start_ = r.take_u64();
-    csc_credited_ = r.take_i64();
-    net_credited_ = r.take_i64();
-    wake_requested_ = r.take_bool();
-    expected_packets_ = r.take_i32();
-    idle_streak_ = r.take_i32();
+    power_.Deserialize(r, PowerDomain::CkptOrder::kRouter);
     failed_ = r.take_bool();
     wake_stuck_ = r.take_bool();
     total_buffered_ = r.take_i32();
-
-    for (PortPower &p : port_power_) {
-        p.state = static_cast<PowerState>(r.take_i32());
-        p.wake_done = r.take_u64();
-        p.sleep_start = r.take_u64();
-        p.csc_credited = r.take_i64();
-        p.net_credited = r.take_i64();
-        p.idle_streak = r.take_i32();
-        p.expected = r.take_i32();
-        p.wake_requested = r.take_bool();
-    }
+    for (auto &pd : ports_)
+        pd.Deserialize(r, PowerDomain::CkptOrder::kPort);
 
     head_block_cycles_ = r.take_u64();
     switched_flits_ = r.take_u64();

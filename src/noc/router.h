@@ -2,7 +2,9 @@
  * @file
  * Two-stage speculative input-buffered virtual-channel router with
  * wormhole switching, look-ahead X-Y routing, credit-based flow control,
- * and power-gating hooks (Sections 2.1, 3.1, 3.3 of the paper).
+ * and power gating (Sections 2.1, 3.1, 3.3 of the paper). The gating FSM
+ * is a PowerDomain (noc/power_domain.h): one for the router, and one per
+ * input port for fine-grained per-port gating (Matsutani [20]).
  *
  * Pipeline model: a flit that is visible in an input buffer at cycle t
  * may perform VC allocation and (speculative) switch allocation in the
@@ -13,16 +15,18 @@
  *
  * Simulation discipline: each cycle runs three phases over all routers —
  * evaluate() (reads only state committed in previous cycles; queues
- * effects), commit() (applies queued arrivals/credits and advances the
- * power FSM), and a policy phase owned by the gating policy (wake/sleep
- * transitions). This two-phase-plus-policy structure makes results
- * independent of router iteration order.
+ * effects), commit() (applies queued arrivals/credits, completes wake-ups
+ * and tracks idleness), and a policy phase owned by the gating policy
+ * (wake/sleep transitions). This two-phase-plus-policy structure makes
+ * results independent of router iteration order.
  */
 #ifndef CATNAP_NOC_ROUTER_H
 #define CATNAP_NOC_ROUTER_H
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "ckpt/fwd.h"
@@ -31,6 +35,7 @@
 #include "noc/buffer.h"
 #include "noc/flit.h"
 #include "noc/params.h"
+#include "noc/power_domain.h"
 #include "obs/event.h"
 #include "power/activity.h"
 #include "topology/topology.h"
@@ -109,88 +114,83 @@ class Router
     CATNAP_SHARD_SAFE CATNAP_PHASE_READ void deliver_credit(Direction port, VcId vc,
                                           Cycle ready);
 
+    // The next three address the domain gating input @p inport: its own
+    // under fine-grained gating (Matsutani [20]), else the router's.
+
     /**
      * Look-ahead wake signal (Section 3.3): asks the gating policy to
-     * wake this router in the current cycle's policy phase.
+     * wake @p inport's domain in the current cycle's policy phase.
      */
-    CATNAP_SHARD_SAFE CATNAP_PHASE_READ void request_wakeup() { wake_requested_ = true; }
+    CATNAP_SHARD_SAFE CATNAP_PHASE_READ void
+    request_wakeup(Direction inport) { domain(inport).request_wake(); }
 
     /**
-     * Announces that a packet head has been committed one hop upstream
-     * (or entered the NI's injection slot) and will eventually arrive.
-     * Routers with announced packets refuse to sleep.
+     * Announces that a packet head bound for @p inport has been
+     * committed one hop upstream (or entered the NI's injection slot)
+     * and will eventually arrive. Domains with announced packets refuse
+     * to sleep.
      */
-    CATNAP_SHARD_SAFE CATNAP_PHASE_READ void note_expected_packet() { ++expected_packets_; }
+    CATNAP_SHARD_SAFE CATNAP_PHASE_READ void
+    note_expected_packet(Direction inport) { domain(inport).expect_packet(); }
 
-    /** True if the router can receive a flit arriving at @p arrival. */
-    bool can_accept_at(Cycle arrival) const;
-
-    // ------------------------------------------------------------------
-    // Fine-grained per-port gating (params.port_gating; Matsutani [20]).
-    // The router-level FSM stays Active in this mode; each input port
-    // has its own sleep/wake state driven by FinePortGatingPolicy.
-    // ------------------------------------------------------------------
-
-    /** True if input port @p inport can take a flit arriving then. */
-    bool can_accept_port_at(Direction inport, Cycle arrival) const;
-
-    /** Announces an inbound packet for @p inport (blocks its sleep). */
-    CATNAP_SHARD_SAFE CATNAP_PHASE_READ void note_expected_packet_at(Direction inport);
-
-    /** Look-ahead wake signal addressed to one input port. */
-    CATNAP_SHARD_SAFE CATNAP_PHASE_READ void request_port_wakeup(Direction inport);
-
-    /** Power state of input port @p inport (Active when not gating). */
-    PowerState port_power_state(Direction inport) const;
-
-    /** True if @p inport may sleep (structural conditions only). */
-    bool port_can_sleep(Direction inport) const;
-
-    /** Puts @p inport to sleep / starts waking it (policy phase). */
-    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void port_enter_sleep(Direction inport, Cycle now);
-    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void port_begin_wakeup(Direction inport, Cycle now);
-
-    /** True if a wake signal arrived for @p inport this cycle. */
-    bool port_wake_requested(Direction inport) const;
-    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void clear_port_wake_request(Direction inport);
-
-    /** Accounts one cycle of port power-state residency (all ports). */
-    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void account_port_power_cycles();
+    /** True if input port @p inport can take a flit arriving at @p arrival. */
+    bool
+    can_accept_at(Direction inport, Cycle arrival) const
+    {
+        return !failed_ && domain(inport).accepts_at(arrival);
+    }
 
     // ------------------------------------------------------------------
-    // Power FSM (driven by the gating policy in the policy phase)
+    // Power FSM (driven by the gating policy in the policy phase). Each
+    // call addresses one PowerDomain: the router's own when @p port is
+    // omitted, else the one gating input @p port (see above).
     // ------------------------------------------------------------------
 
     /** Current power state. */
-    PowerState power_state() const { return power_state_; }
+    PowerState
+    power_state(std::optional<Direction> port = std::nullopt) const
+    {
+        return domain(port).state();
+    }
 
-    /** Cycle at which a wake-up in progress completes. */
-    Cycle wake_done_cycle() const { return wake_done_; }
+    /** Cycle at which the router's wake-up in progress completes. */
+    Cycle wake_done_cycle() const { return power_.wake_done(); }
 
     /** True if a look-ahead wake signal arrived this cycle. */
-    bool wake_requested() const { return wake_requested_; }
+    bool
+    wake_requested(std::optional<Direction> port = std::nullopt) const
+    {
+        return domain(port).wake_requested();
+    }
 
     /** Clears the wake-request flag (policy phase). */
-    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void clear_wake_request() { wake_requested_ = false; }
+    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void
+    clear_wake_request(std::optional<Direction> port = std::nullopt)
+    {
+        domain(port).clear_wake_request();
+    }
 
     /**
-     * True when the router satisfies every structural condition for
-     * sleeping: Active, buffers empty for >= t_idle_detect cycles, no
-     * in-flight arrivals, no announced packets, and no packet holding a
-     * VC mid-stream. The gating policy adds its own conditions on top
-     * (e.g. Catnap's RCS check).
+     * True when the domain satisfies every structural condition for
+     * sleeping: Active, its buffers empty for >= t_idle_detect cycles,
+     * no in-flight arrivals, no announced packets, and no packet holding
+     * a VC mid-stream at any input it gates. The gating policy adds its
+     * own conditions on top (e.g. Catnap's RCS check).
      */
-    bool can_sleep() const;
+    bool can_sleep(std::optional<Direction> port = std::nullopt) const;
 
     /** Transitions Active -> Sleep (policy phase). */
-    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void enter_sleep(Cycle now);
+    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void
+    enter_sleep(Cycle now, std::optional<Direction> port = std::nullopt);
 
     /** Starts Sleep -> Wakeup -> Active; no-op unless sleeping. @p reason
      * is recorded on the emitted trace event only. */
     CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void
-    begin_wakeup(Cycle now, WakeReason reason = WakeReason::kLookahead);
+    begin_wakeup(Cycle now, WakeReason reason = WakeReason::kLookahead,
+                 std::optional<Direction> port = std::nullopt);
 
-    /** Accounts one cycle of residency in the current power state. */
+    /** Accounts one cycle of residency in the current power state of
+     * every domain. */
     CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void account_power_cycle();
 
     // ------------------------------------------------------------------
@@ -202,7 +202,7 @@ class Router
 
     /**
      * Wake-stuck fault: while set, begin_wakeup() and retry_wakeup()
-     * arm a wake that never completes (wake_done_ = kNoCycle), modelling
+     * arm a wake that never completes (wake_done = kNoCycle), modelling
      * a wake sequence that hangs until the gating layer escalates.
      */
     CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void set_wake_stuck(bool stuck) { wake_stuck_ = stuck; }
@@ -226,14 +226,12 @@ class Router
     CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void fail(std::vector<Flit> *dropped);
 
     /**
-     * Folds an in-progress sleep period into the CSC counter without
-     * waking the router (call at the end of a measurement interval so
-     * still-sleeping routers are credited for their sleep so far).
+     * Folds every domain's in-progress sleep period into the CSC
+     * counters without waking it (call at the end of a measurement
+     * interval so still-sleeping domains are credited for their sleep
+     * so far).
      */
     CATNAP_PHASE_WRITE void flush_sleep_accounting(Cycle now);
-
-    /** Same, for the per-port sleep periods of fine-grained gating. */
-    CATNAP_PHASE_WRITE void flush_port_sleep_accounting(Cycle now);
 
     // ------------------------------------------------------------------
     // Observability (congestion metrics, tests, power model)
@@ -255,7 +253,7 @@ class Router
     bool buffers_empty() const;
 
     /** Consecutive cycles (up to now) with all buffers empty. */
-    int idle_streak() const { return idle_streak_; }
+    int idle_streak() const { return power_.idle_streak(); }
 
     /** Cumulative cycles head flits spent blocked (Delay metric input). */
     std::uint64_t head_block_cycles() const { return head_block_cycles_; }
@@ -289,8 +287,8 @@ class Router
     /** Number of queued (not yet committed) arrivals (tests). */
     std::size_t pending_arrivals() const { return arrivals_.size(); }
 
-    /** Announced packets not yet arrived (tests). */
-    int expected_packets() const { return expected_packets_; }
+    /** Announced packets not yet arrived at the router's own domain. */
+    int expected_packets() const { return power_.expected(); }
 
     // ------------------------------------------------------------------
     // Invariant-engine accessors (src/check): per-link conservation
@@ -428,38 +426,41 @@ class Router
     std::vector<Arrival> arrivals_;
     std::vector<CreditEvent> credit_events_;
 
-    /** Per-input-port power FSM (fine-grained gating mode only). */
-    struct PortPower
+    /** True if a power call for @p port addresses the router's own
+     * domain: @p port omitted, or router-level gating. */
+    bool
+    router_level(std::optional<Direction> port) const
     {
-        PowerState state = PowerState::kActive;
-        Cycle wake_done = 0;
-        Cycle sleep_start = 0;
-        std::int64_t csc_credited = 0;
-        std::int64_t net_credited = 0;
-        int idle_streak = 0;
-        int expected = 0;
-        bool wake_requested = false;
-    };
+        return !port || !params_.port_gating;
+    }
+
+    /** The domain a power call for @p port addresses. */
+    const PowerDomain &
+    domain(std::optional<Direction> port) const
+    {
+        return router_level(port)
+                   ? power_
+                   : ports_[static_cast<std::size_t>(port_index(*port))];
+    }
+    PowerDomain &
+    domain(std::optional<Direction> port)
+    {
+        return const_cast<PowerDomain &>(std::as_const(*this).domain(port));
+    }
+
+    /** Adds a settled sleep period's credit to @p port's CSC counters. */
+    CATNAP_PHASE_WRITE void credit_sleep(std::optional<Direction> port,
+                                         SleepCredit c);
 
     // Power / gating state
-    PowerState power_state_ = PowerState::kActive;
-    Cycle wake_done_ = 0;
-    Cycle sleep_start_ = 0;
-    /** CSC / net savings already credited for the open sleep period by
-     * flush_sleep_accounting(), so later flushes and the final wake-up
-     * only add deltas. */
-    std::int64_t csc_credited_ = 0;
-    std::int64_t net_credited_ = 0;
-    bool wake_requested_ = false;
-    int expected_packets_ = 0;
-    int idle_streak_ = 0;
+    PowerDomain power_; ///< the whole router
     bool failed_ = false;
     bool wake_stuck_ = false;
     bool unsafe_sleep_for_test_ = false; ///< seeded-mutation hook (§11)
 
     int total_buffered_ = 0;
 
-    std::array<PortPower, kNumPorts> port_power_{};
+    std::array<PowerDomain, kNumPorts> ports_{}; ///< fine-grained gating only
 
     // Delay-metric instrumentation
     std::uint64_t head_block_cycles_ = 0;

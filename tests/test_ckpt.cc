@@ -8,6 +8,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -382,6 +384,70 @@ TEST(CkptNet, ForkBehavesIdenticallyToOriginal)
     run_traffic(net, gen, 900);
     run_traffic(*fork, fork_gen, 900);
     EXPECT_EQ(net_bytes(net), net_bytes(*fork));
+}
+
+TEST(CkptNet, FinePortRoundTripRestoresPortFsmMidTraffic)
+{
+    // Per-port gating keeps one power FSM per input port; stop the run at
+    // a cycle where asleep, waking and active ports coexist so every
+    // PowerDomain state rides through the image.
+    MultiNocConfig cfg = single_noc_config(512, GatingKind::kFinePort);
+    cfg.seed = 17;
+    MultiNoc net(cfg);
+    SyntheticConfig traffic;
+    traffic.load = 0.05;
+    SyntheticTraffic gen(&net, traffic, 5);
+    // Ports per PowerState, indexed by the state's value.
+    const auto port_states = [](const MultiNoc &n) {
+        std::array<int, 3> count{};
+        for (NodeId node = 0; node < n.num_nodes(); ++node)
+            for (int p = 0; p < kNumPorts; ++p)
+                ++count[static_cast<std::size_t>(
+                    n.router(0, node).power_state(direction_from_index(p)))];
+        return count;
+    };
+    const auto all_states_present = [](const std::array<int, 3> &count) {
+        return std::count(count.begin(), count.end(), 0) == 0;
+    };
+    run_traffic(net, gen, 300);
+    while (net.now() < 3000 && !all_states_present(port_states(net)))
+        run_traffic(net, gen, 1);
+    const std::array<int, 3> at_save = port_states(net);
+    ASSERT_TRUE(all_states_present(at_save)) << "at cycle " << net.now();
+
+    const std::vector<std::uint8_t> image = net_bytes(net);
+    MultiNoc copy(cfg);
+    ckpt::Reader r(image);
+    copy.Deserialize(r);
+    r.expect_exhausted();
+    EXPECT_EQ(net_bytes(copy), image);
+    EXPECT_EQ(port_states(copy), at_save);
+
+    ckpt::Writer gw;
+    gen.Serialize(gw);
+    SyntheticTraffic copy_gen(&copy, traffic, 5);
+    ckpt::Reader gr(gw.bytes());
+    copy_gen.Deserialize(gr);
+
+    run_traffic(net, gen, 1500);
+    run_traffic(copy, copy_gen, 1500);
+    net.finalize_accounting();
+    copy.finalize_accounting();
+    EXPECT_EQ(net_bytes(copy), net_bytes(net));
+    EXPECT_EQ(copy.metrics().ejected_packets(),
+              net.metrics().ejected_packets());
+    EXPECT_EQ(copy.metrics().total_latency().mean(),
+              net.metrics().total_latency().mean());
+    const ActivityCounters a = net.total_activity();
+    const ActivityCounters b = copy.total_activity();
+    EXPECT_GT(a.port_sleep_transitions, 0u);
+    EXPECT_EQ(b.port_sleep_transitions, a.port_sleep_transitions);
+    EXPECT_EQ(b.port_sleep_cycles, a.port_sleep_cycles);
+    EXPECT_EQ(b.port_compensated_sleep_cycles,
+              a.port_compensated_sleep_cycles);
+    EXPECT_EQ(b.port_net_sleep_savings_cycles,
+              a.port_net_sleep_savings_cycles);
+    EXPECT_EQ(copy.csc_percent(), net.csc_percent());
 }
 
 // -- Warm-up forking == from-scratch (the pinned sweep contract) -----------

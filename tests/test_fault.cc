@@ -113,8 +113,8 @@ TEST(Fault, WakeTimeoutRetryScheduleIsExact)
     // Mimic an upstream look-ahead: announce a packet and request the
     // wake. The wake starts but never completes (stuck).
     const Cycle t0 = net.now();
-    net.router(0, 5).note_expected_packet();
-    net.router(0, 5).request_wakeup();
+    net.router(0, 5).note_expected_packet(Direction::kLocal);
+    net.router(0, 5).request_wakeup(Direction::kLocal);
     net.run(16 * 16); // past the escalation point with margin
 
     std::vector<TraceEvent> retries, escalations, health;

@@ -22,7 +22,7 @@ TEST(FinePort, IdleNetworkGatesEveryPort)
         // The router-level FSM stays Active; the ports sleep.
         EXPECT_EQ(r.power_state(), PowerState::kActive);
         for (int p = 0; p < kNumPorts; ++p) {
-            EXPECT_EQ(r.port_power_state(direction_from_index(p)),
+            EXPECT_EQ(r.power_state(direction_from_index(p)),
                       PowerState::kSleep)
                 << "node " << n << " port " << p;
         }
@@ -75,9 +75,9 @@ TEST(FinePort, OnlyTraversedPortsWake)
     for (int i = 0; i < 60; ++i) {
         net.tick();
         west_woke |=
-            r1.port_power_state(Direction::kWest) != PowerState::kSleep;
+            r1.power_state(Direction::kWest) != PowerState::kSleep;
         south_stayed_asleep &=
-            r1.port_power_state(Direction::kSouth) == PowerState::kSleep;
+            r1.power_state(Direction::kSouth) == PowerState::kSleep;
     }
     EXPECT_TRUE(delivered);
     // The traversed input port woke (delivery requires it); the
@@ -86,7 +86,7 @@ TEST(FinePort, OnlyTraversedPortsWake)
     // *input* port of the destination stays asleep too.
     EXPECT_TRUE(west_woke);
     EXPECT_TRUE(south_stayed_asleep);
-    EXPECT_EQ(net.router(0, 2).port_power_state(Direction::kLocal),
+    EXPECT_EQ(net.router(0, 2).power_state(Direction::kLocal),
               PowerState::kSleep);
 }
 

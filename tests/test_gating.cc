@@ -231,8 +231,8 @@ TEST(Gating, ExpectedPacketBlocksSleep)
     MultiNoc net(cfg);
     net.run(20);
     // Wake path: announce a packet at router 1 without delivering it.
-    net.router(0, 1).note_expected_packet();
-    net.router(0, 1).request_wakeup();
+    net.router(0, 1).note_expected_packet(Direction::kLocal);
+    net.router(0, 1).request_wakeup(Direction::kLocal);
     net.run(30);
     EXPECT_EQ(net.router(0, 1).power_state(), PowerState::kActive);
     net.run(100);

@@ -61,7 +61,7 @@ TEST(Robustness, SpuriousWakeSignalsAreHarmless)
         for (int k = 0; k < 8; ++k) {
             net.router(static_cast<SubnetId>(rng.next_below(4)),
                        static_cast<NodeId>(rng.next_below(64)))
-                .request_wakeup();
+                .request_wakeup(Direction::kLocal);
         }
         net.tick();
     }

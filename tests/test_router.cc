@@ -191,7 +191,7 @@ TEST(RouterUnit, PowerStateQueriesOnFreshRouter)
     EXPECT_EQ(r.max_port_occupancy(), 0);
     EXPECT_DOUBLE_EQ(r.avg_port_occupancy(), 0.0);
     EXPECT_EQ(r.expected_packets(), 0);
-    EXPECT_TRUE(r.can_accept_at(net.now()));
+    EXPECT_TRUE(r.can_accept_at(Direction::kLocal, net.now()));
 }
 
 TEST(RouterUnit, CanSleepRequiresIdleStreak)

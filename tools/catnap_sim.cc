@@ -479,6 +479,12 @@ main(int argc, char **argv)
                   "fewer aggregate bits than subnets leaves a zero-width "
                   "datapath per subnet");
     }
+    if (cfg.gating == GatingKind::kFinePort && !cfg.fault.empty()) {
+        die_value("--gating", "fineport",
+                  "fault injection (--fault-*) needs router-level gating "
+                  "(off, idle or catnap); per-port gating has no fault "
+                  "model");
+    }
     check_sweep_options(sweep);
     if ((sweep.isolate || !sweep.serve.empty()) &&
         (mode != "synthetic" || sweep_loads.empty())) {

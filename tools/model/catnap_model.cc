@@ -24,6 +24,7 @@
 
 #include "common/sarif.h"
 #include "exec/sweep.h"
+#include "model/anchors.h"
 #include "model/checker.h"
 
 namespace {
@@ -60,31 +61,6 @@ usage(std::ostream &os)
           "  --quiet               suppress the counterexample replay\n";
 }
 
-/** Representative source anchor for each property's SARIF result. */
-void
-property_anchor(const std::string &prop, std::string *uri, int *line)
-{
-    if (prop == "P1") {
-        *uri = "src/noc/router.cc";
-        *line = 153; // run_switch_allocation: forwarding progress
-    } else if (prop == "P2") {
-        *uri = "src/catnap/gating.cc";
-        *line = 52; // service_wake_retries: retry/escalation scan
-    } else if (prop == "P3") {
-        *uri = "src/catnap/gating.cc";
-        *line = 170; // CatnapGatingPolicy::step: never-sleep duty
-    } else if (prop == "P4") {
-        *uri = "src/noc/router.cc";
-        *line = 437; // Router::can_sleep: occupancy conditions
-    } else if (prop == "P5") {
-        *uri = "src/noc/router.cc";
-        *line = 471; // Router::begin_wakeup: CSC crediting
-    } else {
-        *uri = "src/fault/fault.cc";
-        *line = 1; // escalation path
-    }
-}
-
 void
 write_model_sarif(const std::string &path, const CheckResult &result)
 {
@@ -110,7 +86,13 @@ write_model_sarif(const std::string &path, const CheckResult &result)
         r.message = v.property + " violated: " + v.message + " (" +
                     std::to_string(v.trace.size()) +
                     "-step counterexample)";
-        property_anchor(v.property, &r.uri, &r.line);
+        const catnap_model::PropertyAnchor anchor =
+            catnap_model::property_anchor(v.property);
+        r.uri = anchor.uri;
+        r.line = catnap_model::resolve_anchor_line(CATNAP_SOURCE_DIR, anchor);
+        if (r.line == 0)
+            std::cerr << "catnap_model: cannot find " << anchor.function
+                      << " in " << anchor.uri << "; anchoring at line 1\n";
         results.push_back(r);
     }
     std::ofstream os(path);

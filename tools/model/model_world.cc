@@ -251,8 +251,8 @@ ModelWorld::apply_event(const ModelEvent &ev)
         // signal -- exactly what NetworkInterface::try_assign_head does.
         Router *r = routers_[static_cast<std::size_t>(sl.subnet)]
                             [static_cast<std::size_t>(sl.src)].get();
-        r->note_expected_packet();
-        r->request_wakeup();
+        r->note_expected_packet(Direction::kLocal);
+        r->request_wakeup(Direction::kLocal);
         break;
       }
       case EventKindM::kLoseWake:
@@ -338,7 +338,7 @@ ModelWorld::inject_waiting_slots()
             continue;
         Router *r = routers_[static_cast<std::size_t>(sl.subnet)]
                             [static_cast<std::size_t>(sl.src)].get();
-        if (r->failed() || !r->can_accept_at(now_))
+        if (!r->can_accept_at(Direction::kLocal, now_))
             continue;
         if (r->vc_occupancy(Direction::kLocal, 0) +
                 r->pending_arrivals_for(Direction::kLocal, 0) >=
