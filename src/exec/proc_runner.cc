@@ -16,7 +16,6 @@
 
 #include "ckpt/checkpoint.h"
 #include "exec/point_codec.h"
-#include "exec/thread_pool.h"
 
 extern char **environ;
 
@@ -48,7 +47,7 @@ now_ms()
     return now_us() / 1000;
 }
 
-/** Fixed-width lower-case hex of a point key (file names, summary). */
+/** Fixed-width lower-case hex of a point key (scratch file names). */
 std::string
 key_hex(std::uint64_t key)
 {
@@ -58,47 +57,7 @@ key_hex(std::uint64_t key)
     return std::string(buf);
 }
 
-std::string
-format_load(double load)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", load);
-    return std::string(buf);
-}
-
 } // namespace
-
-std::vector<SyntheticResult>
-ProcSweepResult::merged() const
-{
-    if (!ok())
-        throw std::runtime_error(quarantine_summary());
-    std::vector<SyntheticResult> out;
-    out.reserve(points.size());
-    for (const PointReport &p : points)
-        out.push_back(p.result);
-    return out;
-}
-
-std::string
-ProcSweepResult::quarantine_summary() const
-{
-    if (ok())
-        return "";
-    std::string s = "quarantine: " + std::to_string(quarantined) + " of " +
-                    std::to_string(points.size()) +
-                    " sweep point(s) failed permanently\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const PointReport &p = points[i];
-        if (p.status != PointStatus::kQuarantined)
-            continue;
-        s += "  point " + std::to_string(i) + " key=" + key_hex(p.key) +
-             " load=" + format_load(p.offered_load) +
-             " seed=" + std::to_string(p.seed) + ": " + p.failure_reason() +
-             "\n";
-    }
-    return s;
-}
 
 std::string
 PointReport::failure_reason() const
@@ -130,7 +89,7 @@ ProcRunner::emit(TraceEvent ev)
         return;
     ev.cycle = static_cast<Cycle>(now_us() - epoch_us_);
     // Supervising threads emit concurrently; the sink sees one event
-    // at a time (same contract as SweepRunner).
+    // at a time.
     std::lock_guard<std::mutex> lock(sink_mutex_);
     opts_.sink->on_event(ev);
 }
@@ -203,26 +162,20 @@ ProcRunner::run(const std::vector<RunItem> &items)
         pending.push_back(i);
     }
 
-    if (!pending.empty()) {
-        ThreadPool pool(opts_.jobs);
-        JobGraph graph;
-        for (const std::size_t idx : pending) {
-            graph.add([this, &items, &keys, &out, idx] {
-                out.points[idx] = run_point(idx, items[idx], keys[idx]);
-            });
-        }
-        // Jobs only throw on supervisor-side faults (spawn/scratch/
-        // journal I/O); worker failures become quarantine reports.
-        graph.run(pool).rethrow_if_error();
-    }
+    // Points only throw on supervisor-side faults (spawn/scratch/
+    // journal I/O); worker failures become quarantine reports.
+    ExecOptions eo;
+    eo.jobs = opts_.jobs;
+    SweepRunner(eo).run_jobs(pending.size(), [&](std::size_t p) {
+        const std::size_t idx = pending[p];
+        out.points[idx] = run_point(idx, items[idx], keys[idx]);
+    });
 
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t first = owner.at(keys[i]);
         if (i != first)
             out.points[i] = out.points[first];
-        PointReport &rep = out.points[i];
-        rep.offered_load = items[i].traffic.load;
-        rep.seed = items[i].params.seed;
+        const PointReport &rep = out.points[i];
         if (i == first)
             out.spawned += static_cast<std::size_t>(rep.attempts);
         switch (rep.status) {
@@ -249,10 +202,7 @@ PointReport
 ProcRunner::run_one(std::size_t index, const RunItem &item)
 {
     make_scratch_dir();
-    PointReport rep = run_point(index, item, point_hash(item));
-    rep.offered_load = item.traffic.load;
-    rep.seed = item.params.seed;
-    return rep;
+    return run_point(index, item, point_hash(item));
 }
 
 PointReport

@@ -25,13 +25,13 @@
  *     replays the journal and only spawns workers for missing points.
  *
  * Determinism contract: results are delivered in item order regardless
- * of completion order, and a resumed or isolated sweep's merged output
- * is bit-identical to an uninterrupted in-process run — workers encode
+ * of completion order, and a resumed or isolated sweep's results are
+ * bit-identical to an uninterrupted in-process run — workers encode
  * doubles by bit pattern and the simulation itself is deterministic.
- * Quarantine reporting is equally deterministic: reports and the
- * summary string are assembled in point-index order, never completion
- * order. (Which *attempt* fails can vary with host scheduling; which
- * points are quarantined for a deterministic failure cannot.)
+ * Quarantine reporting is equally deterministic: reports are indexed by
+ * point, never by completion order. (Which *attempt* fails can vary
+ * with host scheduling; which points are quarantined for a
+ * deterministic failure cannot.)
  */
 #ifndef CATNAP_EXEC_PROC_RUNNER_H
 #define CATNAP_EXEC_PROC_RUNNER_H
@@ -78,7 +78,9 @@ struct ProcOptions
 
     /** Per-attempt wall-clock budget in milliseconds; a worker still
      * running at the deadline is SIGKILLed and the attempt classified
-     * kTimeout. 0 = unlimited. */
+     * kTimeout. 0 = unlimited. Only the spawned process is killed, not
+     * its children, so a wrapper-script worker must `exec` its target:
+     * an orphaned child would outlive the watchdog. */
     std::int64_t timeout_ms = 0;
 
     /** Base retry delay in milliseconds, doubled per extra attempt
@@ -121,8 +123,6 @@ struct PointReport
 {
     PointStatus status = PointStatus::kQuarantined;
     std::uint64_t key = 0;     ///< point hash (journal key)
-    double offered_load = 0;   ///< the point's traffic load (summary id)
-    std::uint64_t seed = 0;    ///< the point's run seed (summary id)
     int attempts = 0;          ///< workers spawned for this point
     std::vector<PointFailure> failures; ///< one entry per failed attempt
     SyntheticResult result; ///< valid unless quarantined
@@ -142,21 +142,6 @@ struct ProcSweepResult
     std::size_t spawned = 0;      ///< total worker processes spawned
 
     bool ok() const { return quarantined == 0; }
-
-    /**
-     * Results in item order, bit-identical to the in-process sweep.
-     * Throws std::runtime_error (message = quarantine_summary()) when
-     * any point is quarantined — a merged output must never silently
-     * omit points.
-     */
-    std::vector<SyntheticResult> merged() const;
-
-    /**
-     * Deterministic description of every quarantined point, in point
-     * order: index, key, offered load, seed, and each classified
-     * failure. Empty string when ok().
-     */
-    std::string quarantine_summary() const;
 };
 
 /**
@@ -190,8 +175,6 @@ class ProcRunner
      * supervisor-side errors as run().
      */
     PointReport run_one(std::size_t index, const RunItem &item);
-
-    const ProcOptions &options() const { return opts_; }
 
   private:
     PointReport run_point(std::size_t index, const RunItem &item,

@@ -1,44 +1,10 @@
 #include "exec/sweep_runner.h"
 
-#include <chrono>
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 
 namespace catnap {
-
-namespace {
-
-/** Microseconds on the host's monotonic clock. Host-side observability
- * only (see tools/lint host-clock exemption for src/exec/). */
-std::int64_t
-now_us()
-{
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Clamps a microsecond duration into the 32-bit event payload. */
-std::int32_t
-clamp_us(std::int64_t us)
-{
-    constexpr std::int64_t kMax = 0x7fffffff;
-    return static_cast<std::int32_t>(us < kMax ? us : kMax);
-}
-
-} // namespace
-
-SweepRunner::SweepRunner(const ExecOptions &opts) : opts_(opts) {}
-
-void
-SweepRunner::emit(const TraceEvent &ev)
-{
-    if (opts_.sink == nullptr)
-        return;
-    // Workers emit concurrently; the sink sees one event at a time.
-    std::lock_guard<std::mutex> lock(sink_mutex_);
-    opts_.sink->on_event(ev);
-}
 
 void
 SweepRunner::run_jobs(std::size_t n,
@@ -46,48 +12,10 @@ SweepRunner::run_jobs(std::size_t n,
 {
     if (n == 0)
         return;
-    epoch_us_ = now_us();
-
-    ThreadPool pool(opts_.jobs);
-    JobGraph graph;
-    JobOptions job_opts;
-    job_opts.max_retries = opts_.max_retries;
-    job_opts.timeout_ms = opts_.timeout_ms;
-
-    for (std::size_t i = 0; i < n; ++i) {
-        graph.add(
-            [this, &body, i, n] {
-                const std::int64_t begin_us = now_us() - epoch_us_;
-                TraceEvent ev;
-                ev.cycle = static_cast<Cycle>(begin_us);
-                ev.kind = EventKind::kExecJobBegin;
-                ev.node = static_cast<NodeId>(i);
-                ev.a = ThreadPool::current_worker();
-                ev.b = static_cast<std::int32_t>(n);
-                emit(ev);
-
-                const auto emit_end = [&](std::int32_t status) {
-                    const std::int64_t end_us = now_us() - epoch_us_;
-                    ev.cycle = static_cast<Cycle>(end_us);
-                    ev.kind = EventKind::kExecJobEnd;
-                    ev.b = status;
-                    ev.pkt = static_cast<PacketId>(
-                        clamp_us(end_us - begin_us));
-                    emit(ev);
-                };
-                try {
-                    body(i);
-                } catch (...) {
-                    emit_end(1);
-                    throw; // JobGraph owns retry/propagation policy
-                }
-                emit_end(0);
-            },
-            job_opts);
-    }
-
-    const RunReport report = graph.run(pool);
-    report.rethrow_if_error();
+    const int jobs = opts_.jobs > 0 ? opts_.jobs : ThreadPool::default_jobs();
+    ThreadPool pool(static_cast<int>(
+        std::min(static_cast<std::size_t>(jobs), n)));
+    pool.for_each(n, body);
 }
 
 std::vector<SyntheticResult>
@@ -118,25 +46,6 @@ run_batch(const std::vector<RunItem> &items, const ExecOptions &opts)
         return run_synthetic(items[i].cfg, items[i].traffic,
                              items[i].params);
     });
-}
-
-std::vector<SyntheticResult>
-sweep_load_parallel(const MultiNocConfig &net_cfg, SyntheticConfig traffic,
-                    const RunParams &params,
-                    const std::vector<double> &loads,
-                    const ExecOptions &opts)
-{
-    std::vector<RunItem> items;
-    items.reserve(loads.size());
-    for (double load : loads) {
-        RunItem item;
-        item.cfg = net_cfg;
-        item.traffic = traffic;
-        item.traffic.load = load;
-        item.params = params;
-        items.push_back(std::move(item));
-    }
-    return run_batch(items, opts);
 }
 
 } // namespace catnap

@@ -14,23 +14,15 @@
  * observability: attaching one EventSink or SnapshotRecorder to two
  * items would interleave their streams nondeterministically, so
  * run_batch() rejects shared non-null observer pointers up front.
- *
- * Host-side progress is observable through ExecOptions::sink, which
- * receives kExecJobBegin/kExecJobEnd events stamped with *wall-clock
- * microseconds* (not simulation cycles) and the worker index. These
- * exec.* events describe host scheduling, are inherently
- * run-to-run-nondeterministic, and never feed simulation state.
  */
 #ifndef CATNAP_EXEC_SWEEP_RUNNER_H
 #define CATNAP_EXEC_SWEEP_RUNNER_H
 
-#include <cstdint>
-#include <mutex>
+#include <cstddef>
+#include <functional>
 #include <vector>
 
-#include "exec/job.h"
 #include "exec/thread_pool.h"
-#include "obs/event.h"
 #include "sim/simulator.h"
 
 namespace catnap {
@@ -40,19 +32,6 @@ struct ExecOptions
 {
     /** Worker threads; 0 = ThreadPool::default_jobs(). */
     int jobs = 0;
-
-    /** Extra attempts for a point whose run throws. */
-    int max_retries = 0;
-
-    /** Per-point wall-clock budget in milliseconds; 0 = unlimited. */
-    std::int64_t timeout_ms = 0;
-
-    /**
-     * Receives exec.* lifecycle events (host wall-clock timestamps,
-     * serialized; null disables). Distinct from any per-item simulation
-     * sink in RunParams.
-     */
-    EventSink *sink = nullptr;
 };
 
 /** One independent simulation point of a batch. */
@@ -65,19 +44,20 @@ struct RunItem
 
 /**
  * Executes a batch of closures indexed 0..n-1 on a private thread pool
- * and delivers fn(i) into slot i of the returned vector.
+ * of min(jobs, n) workers and delivers fn(i) into slot i of the
+ * returned vector.
  *
- * The generic core under run_batch()/sweep_load_parallel(), usable for
- * any per-point result type (bench harnesses run app workloads and
- * custom metrics through it). Exceptions: every point is attempted
- * (independent points are not cancelled by a failure); after the batch
- * drains, the error of the *lowest-indexed* failing point is rethrown,
- * so failure is as deterministic as success.
+ * The generic core under run_batch(), usable for any per-point result
+ * type (bench harnesses run app workloads and custom metrics through
+ * it). Exceptions: every point is attempted (independent points are not
+ * cancelled by a failure); after the batch drains, the error of the
+ * *lowest-indexed* failing point is rethrown, so failure is as
+ * deterministic as success (ThreadPool::for_each).
  */
 class SweepRunner
 {
   public:
-    explicit SweepRunner(const ExecOptions &opts = {});
+    explicit SweepRunner(const ExecOptions &opts = {}) : opts_(opts) {}
 
     /** Runs @p fn(i) for i in [0, n) and returns results in index
      * order. @p Result must be default-constructible and movable. */
@@ -96,14 +76,8 @@ class SweepRunner
     void run_jobs(std::size_t n,
                   const std::function<void(std::size_t)> &body);
 
-    const ExecOptions &options() const { return opts_; }
-
   private:
-    void emit(const TraceEvent &ev);
-
     ExecOptions opts_;
-    std::mutex sink_mutex_;
-    std::int64_t epoch_us_ = 0; ///< batch start, host microseconds
 };
 
 /**
@@ -115,16 +89,6 @@ class SweepRunner
  */
 std::vector<SyntheticResult> run_batch(const std::vector<RunItem> &items,
                                        const ExecOptions &opts = {});
-
-/**
- * Parallel drop-in for sweep_load() (sim/simulator.h): byte-identical
- * output, submission-order delivery, one worker per core by default.
- */
-std::vector<SyntheticResult>
-sweep_load_parallel(const MultiNocConfig &net_cfg, SyntheticConfig traffic,
-                    const RunParams &params,
-                    const std::vector<double> &loads,
-                    const ExecOptions &opts = {});
 
 } // namespace catnap
 

@@ -1,6 +1,6 @@
 #include "exec/thread_pool.h"
 
-#include "common/log.h"
+#include <utility>
 
 namespace catnap {
 
@@ -16,91 +16,86 @@ ThreadPool::ThreadPool(int jobs)
 {
     if (jobs <= 0)
         jobs = default_jobs();
-    queues_.reserve(static_cast<std::size_t>(jobs));
-    for (int i = 0; i < jobs; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
     workers_.reserve(static_cast<std::size_t>(jobs));
-    for (int i = 0; i < jobs; ++i)
-        workers_.emplace_back([this, i] { worker_loop(i); });
+    try {
+        for (int i = 0; i < jobs; ++i)
+            workers_.emplace_back([this, i] { worker_loop(i); });
+    } catch (...) {
+        // No destructor runs for a half-built pool: join what started.
+        stop_and_join();
+        throw;
+    }
 }
 
 ThreadPool::~ThreadPool()
 {
+    stop_and_join();
+}
+
+void
+ThreadPool::stop_and_join()
+{
     {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
     }
-    wake_cv_.notify_all();
+    work_cv_.notify_all();
     for (std::thread &w : workers_)
         w.join();
 }
 
 void
-ThreadPool::submit(std::function<void()> task)
+ThreadPool::for_each(std::size_t n,
+                     const std::function<void(std::size_t)> &body)
 {
-    CATNAP_ASSERT(task != nullptr, "ThreadPool::submit of empty task");
-    std::size_t target;
-    {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-        target = next_queue_++ % queues_.size();
-        ++pending_;
-    }
-    {
-        std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-        queues_[target]->tasks.push_back(std::move(task));
-    }
-    wake_cv_.notify_one();
-}
-
-bool
-ThreadPool::try_take(int my_index, std::function<void()> &task)
-{
-    const std::size_t n = queues_.size();
-    const auto me = static_cast<std::size_t>(my_index);
-    // Own queue first (front: newest-first keeps caches warm), then
-    // steal the oldest task from each sibling in index order.
-    {
-        std::lock_guard<std::mutex> lock(queues_[me]->mutex);
-        if (!queues_[me]->tasks.empty()) {
-            task = std::move(queues_[me]->tasks.front());
-            queues_[me]->tasks.pop_front();
-            return true;
-        }
-    }
-    for (std::size_t d = 1; d < n; ++d) {
-        const std::size_t victim = (me + d) % n;
-        std::lock_guard<std::mutex> lock(queues_[victim]->mutex);
-        if (!queues_[victim]->tasks.empty()) {
-            task = std::move(queues_[victim]->tasks.back());
-            queues_[victim]->tasks.pop_back();
-            return true;
-        }
-    }
-    return false;
+    if (n == 0)
+        return;
+    std::unique_lock<std::mutex> lock(mutex_);
+    body_ = &body;
+    n_ = n;
+    next_ = 0;
+    running_ = 0;
+    error_ = nullptr;
+    work_cv_.notify_all();
+    done_cv_.wait(lock, [this] { return next_ == n_ && running_ == 0; });
+    body_ = nullptr;
+    const std::exception_ptr error = std::exchange(error_, nullptr);
+    lock.unlock();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void
 ThreadPool::worker_loop(int my_index)
 {
     t_worker_index = my_index;
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        std::function<void()> task;
-        if (try_take(my_index, task)) {
-            {
-                std::lock_guard<std::mutex> lock(sleep_mutex_);
-                --pending_;
-            }
-            task();
-            continue;
+        work_cv_.wait(lock, [this] {
+            return stop_ || (body_ != nullptr && next_ < n_);
+        });
+        if (stop_)
+            return;
+        const std::size_t i = next_++;
+        ++running_;
+        const std::function<void(std::size_t)> &body = *body_;
+        lock.unlock();
+
+        std::exception_ptr error;
+        try {
+            body(i);
+        } catch (...) {
+            error = std::current_exception();
         }
-        std::unique_lock<std::mutex> lock(sleep_mutex_);
-        // stop_ drains: exit only once every queued task has been taken.
-        if (stop_ && pending_ == 0)
-            return;
-        wake_cv_.wait(lock,
-                      [this] { return stop_ || pending_ > 0; });
-        if (stop_ && pending_ == 0)
-            return;
+
+        lock.lock();
+        --running_;
+        if (error && (!error_ || i < first_failed_)) {
+            error_ = std::move(error);
+            first_failed_ = i;
+        }
+        if (next_ == n_ && running_ == 0)
+            done_cv_.notify_one();
     }
 }
 

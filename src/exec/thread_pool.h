@@ -1,25 +1,26 @@
 /**
  * @file
- * Work-stealing thread pool for the execution engine (DESIGN.md §12).
+ * Ordered parallel map for the execution engine (DESIGN.md §12).
  *
- * Each worker owns a deque of tasks guarded by its own mutex; external
- * submissions are distributed round-robin. A worker pops from the front
- * of its own deque and, when empty, steals from the *back* of a sibling's
- * deque, so long task chains stay hot on one core while idle cores pull
- * the oldest (largest-granularity) work. All synchronisation is plain
- * mutex + condition_variable — the design is deliberately lock-based so
+ * A sweep is a set of independent points, so the pool needs one
+ * operation: for_each(n, body) runs body(i) for every i in [0, n) on
+ * some worker. Workers claim indices in increasing order from a single
+ * counter, so a caller that lists its costliest points first gets the
+ * shortest tail. All synchronisation is plain mutex +
+ * condition_variable — the design is deliberately lock-based so
  * ThreadSanitizer can verify it exactly as written (no atomics whose
  * orderings TSan models conservatively).
  *
  * The pool executes host-side orchestration only. Simulation code never
- * runs concurrently over shared state: every job owns its MultiNoc,
+ * runs concurrently over shared state: every point owns its MultiNoc,
  * Metrics, and RNG (see exec/sweep_runner.h for the argument).
  */
 #ifndef CATNAP_EXEC_THREAD_POOL_H
 #define CATNAP_EXEC_THREAD_POOL_H
 
 #include <condition_variable>
-#include <deque>
+#include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -30,29 +31,31 @@ namespace catnap {
 class ThreadPool
 {
   public:
-    /**
-     * Starts @p jobs worker threads; 0 means default_jobs(). The pool
-     * never runs tasks on the submitting thread, so even jobs == 1 keeps
-     * submit() non-blocking.
-     */
+    /** Starts @p jobs worker threads; 0 means default_jobs(). */
     explicit ThreadPool(int jobs = 0);
 
-    /** Drains every queued task, then joins the workers. */
+    /** Joins the workers. Must not run concurrently with for_each(). */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Enqueues @p task for execution on some worker. */
-    void submit(std::function<void()> task);
+    /**
+     * Runs @p body(i) for every i in [0, n) on the workers and returns
+     * once all n calls have finished. Every index runs even when some
+     * throw; afterwards the exception of the lowest throwing index is
+     * rethrown, so failure is as deterministic as success. One call at
+     * a time per pool; the calling thread only waits.
+     */
+    void for_each(std::size_t n,
+                  const std::function<void(std::size_t)> &body);
 
     /** Number of worker threads. */
     int size() const { return static_cast<int>(workers_.size()); }
 
     /**
-     * Index of the pool worker running the calling thread, or -1 when
-     * called from outside the pool. Used by the exec trace events to
-     * label Perfetto tracks per worker.
+     * Index of the pool worker running the calling thread, in
+     * [0, size()), or -1 when called from outside the pool.
      */
     static int current_worker();
 
@@ -61,25 +64,24 @@ class ThreadPool
 
   private:
     void worker_loop(int my_index);
-    bool try_take(int my_index, std::function<void()> &task);
+    void stop_and_join();
 
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
-
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> workers_;
-
-    // Sleep/wake protocol: pending_ counts queued-but-untaken tasks and
-    // is only touched under sleep_mutex_, so a submit between "queue
-    // scan found nothing" and "wait" cannot be lost.
-    std::mutex sleep_mutex_;
-    std::condition_variable wake_cv_;
-    std::size_t pending_ = 0;
+    // Batch state, all guarded by mutex_. A batch is live while body_
+    // is non-null; next_ is the next unclaimed index and running_ the
+    // number of claimed indices still executing.
+    std::mutex mutex_;
+    std::condition_variable work_cv_; ///< workers: a batch or stop
+    std::condition_variable done_cv_; ///< for_each: the batch drained
+    const std::function<void(std::size_t)> *body_ = nullptr;
+    std::size_t n_ = 0;
+    std::size_t next_ = 0;
+    std::size_t running_ = 0;
+    std::size_t first_failed_ = 0; ///< lowest throwing index, if error_
+    std::exception_ptr error_;
     bool stop_ = false;
-    std::size_t next_queue_ = 0; ///< round-robin submission cursor
+
+    // Last, so the workers start after and stop before the state above.
+    std::vector<std::thread> workers_;
 };
 
 } // namespace catnap

@@ -24,8 +24,6 @@ event_kind_name(EventKind k)
       case EventKind::kPacketTimeout:   return "packet_timeout";
       case EventKind::kPacketRetransmit:return "packet_retransmit";
       case EventKind::kPacketDrop:      return "packet_drop";
-      case EventKind::kExecJobBegin:    return "exec_job_begin";
-      case EventKind::kExecJobEnd:      return "exec_job_end";
       case EventKind::kProcSpawn:       return "proc_spawn";
       case EventKind::kProcExit:        return "proc_exit";
       case EventKind::kProcRetry:       return "proc_retry";

@@ -95,11 +95,8 @@ write_chrome_trace(std::ostream &os, const EventTrace &trace,
     TraceExportMeta m = meta;
     Cycle last_cycle = 0;
     bool has_exec = false;
-    std::int32_t max_worker = 0;
     trace.for_each([&](const TraceEvent &ev) {
-        if (ev.kind == EventKind::kExecJobBegin ||
-            ev.kind == EventKind::kExecJobEnd ||
-            ev.kind == EventKind::kProcSpawn ||
+        if (ev.kind == EventKind::kProcSpawn ||
             ev.kind == EventKind::kProcExit ||
             ev.kind == EventKind::kProcRetry ||
             ev.kind == EventKind::kProcQuarantine ||
@@ -107,9 +104,8 @@ write_chrome_trace(std::ostream &os, const EventTrace &trace,
             ev.kind == EventKind::kServeExec ||
             ev.kind == EventKind::kServeEvict) {
             // Host-time track: excluded from the cycle-domain maxima
-            // (node holds a job index, not a router id).
+            // (node holds a point index, not a router id).
             has_exec = true;
-            max_worker = std::max(max_worker, ev.a);
             return;
         }
         last_cycle = std::max(last_cycle, ev.cycle);
@@ -131,12 +127,6 @@ write_chrome_trace(std::ostream &os, const EventTrace &trace,
                    << kExecTrackPid
                    << ",\"args\":{\"name\":\"execution engine (host "
                       "time, us)\"}}";
-        for (std::int32_t w = 0; w <= max_worker; ++w) {
-            arr.next() << "{\"name\":\"thread_name\",\"ph\":\"M\","
-                          "\"pid\":"
-                       << kExecTrackPid << ",\"tid\":" << w
-                       << ",\"args\":{\"name\":\"worker " << w << "\"}}";
-        }
     }
 
     // Power-state spans: every router starts Active at the window start
@@ -251,20 +241,6 @@ write_chrome_trace(std::ostream &os, const EventTrace &trace,
             write_instant(arr, "pkt drop", "fault", ev.subnet, ev.node,
                           ev.cycle);
             break;
-          case EventKind::kExecJobEnd: {
-            // One complete span per job attempt on the worker's thread
-            // of the exec process; ts/dur are host microseconds.
-            const auto dur = static_cast<Cycle>(ev.pkt);
-            arr.next() << "{\"name\":\"job " << ev.node
-                       << "\",\"cat\":\"exec\",\"ph\":\"X\",\"ts\":"
-                       << (ev.cycle >= dur ? ev.cycle - dur : 0)
-                       << ",\"dur\":" << dur
-                       << ",\"pid\":" << kExecTrackPid
-                       << ",\"tid\":" << (ev.a >= 0 ? ev.a : 0)
-                       << ",\"args\":{\"job\":" << ev.node
-                       << ",\"ok\":" << (ev.b == 0 ? 1 : 0) << "}}";
-            break;
-          }
           case EventKind::kProcExit:
             // Worker lifetimes on the exec host-time track, one tid per
             // sweep point; b != 0 marks a classified failure.
@@ -297,7 +273,6 @@ write_chrome_trace(std::ostream &os, const EventTrace &trace,
             break;
           case EventKind::kFlitEject:
           case EventKind::kSubnetSelect:
-          case EventKind::kExecJobBegin:
           case EventKind::kProcSpawn:
           case EventKind::kProcRetry:
           case EventKind::kServeExec:

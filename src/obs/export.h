@@ -41,10 +41,11 @@ struct TraceExportMeta
 inline constexpr int kRcsTrackTidBase = 100000;
 
 /**
- * Process id of the execution-engine track in the Chrome export. Exec
- * job spans live on their own process (one thread per pool worker) and
- * are timestamped in host microseconds, separate from the per-subnet
- * simulation processes whose timestamps are cycles.
+ * Process id of the execution-engine track in the Chrome export. Sweep
+ * worker and sweep-service events live on their own process (one
+ * thread per sweep point) and are timestamped in host microseconds,
+ * separate from the per-subnet simulation processes whose timestamps
+ * are cycles.
  */
 inline constexpr int kExecTrackPid = 200000;
 

@@ -193,29 +193,6 @@ key_hex(std::uint64_t key)
 
 } // namespace
 
-std::vector<SyntheticResult>
-ServedSweep::merged() const
-{
-    if (!ok())
-        throw std::runtime_error(quarantine_summary());
-    return results;
-}
-
-std::string
-ServedSweep::quarantine_summary() const
-{
-    if (ok())
-        return "";
-    std::string out = "serve: " + std::to_string(quarantined) +
-                      " point(s) quarantined by the daemon:\n";
-    for (std::size_t i = 0; i < statuses.size(); ++i) {
-        if (statuses[i] != ServedStatus::kQuarantined)
-            continue;
-        out += "  point " + std::to_string(i) + ": " + errors[i] + "\n";
-    }
-    return out;
-}
-
 ServedSweep
 run_batch_served(const std::vector<RunItem> &items,
                  const ServeClientOptions &opts)

@@ -21,8 +21,7 @@
  * Protocol-level errors (a malformed-request reply, an undecodable
  * response) are programming errors, not outages, and throw ServeError
  * immediately. Per-point quarantine is data, not an exception: it is
- * reported in ServedSweep and only throws from merged(), mirroring
- * ProcSweepResult.
+ * reported in ServedSweep, mirroring ProcSweepResult.
  */
 #ifndef CATNAP_SERVE_CLIENT_H
 #define CATNAP_SERVE_CLIENT_H
@@ -73,15 +72,6 @@ struct ServedSweep
     std::size_t quarantined = 0;
 
     bool ok() const { return quarantined == 0; }
-
-    /** Results in item order, bit-identical to run_batch(items).
-     * Throws std::runtime_error (message = quarantine_summary()) when
-     * any point is quarantined. */
-    std::vector<SyntheticResult> merged() const;
-
-    /** Deterministic description of every quarantined point, in point
-     * order. Empty string when ok(). */
-    std::string quarantine_summary() const;
 };
 
 /**

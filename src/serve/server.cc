@@ -312,7 +312,7 @@ ServeServer::emit(TraceEvent ev)
         return;
     ev.cycle = static_cast<Cycle>(now_us() - epoch_us_);
     // Handler threads emit concurrently; the sink sees one event at a
-    // time (same contract as SweepRunner / ProcRunner).
+    // time (same contract as ProcRunner).
     std::lock_guard<std::mutex> lock(sink_mutex_);
     cfg_.sink->on_event(ev);
 }

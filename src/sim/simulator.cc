@@ -238,17 +238,4 @@ run_synthetic(const MultiNocConfig &net_cfg, const SyntheticConfig &traffic,
     return run.finish();
 }
 
-std::vector<SyntheticResult>
-sweep_load(const MultiNocConfig &net_cfg, SyntheticConfig traffic,
-           const RunParams &params, const std::vector<double> &loads)
-{
-    std::vector<SyntheticResult> out;
-    out.reserve(loads.size());
-    for (double load : loads) {
-        traffic.load = load;
-        out.push_back(run_synthetic(net_cfg, traffic, params));
-    }
-    return out;
-}
-
 } // namespace catnap

@@ -192,13 +192,6 @@ SyntheticResult run_synthetic(const MultiNocConfig &net_cfg,
                               const SyntheticConfig &traffic,
                               const RunParams &params);
 
-/**
- * Sweeps offered load over @p loads and returns one result per point.
- */
-std::vector<SyntheticResult>
-sweep_load(const MultiNocConfig &net_cfg, SyntheticConfig traffic,
-           const RunParams &params, const std::vector<double> &loads);
-
 } // namespace catnap
 
 #endif // CATNAP_SIM_SIMULATOR_H

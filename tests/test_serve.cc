@@ -464,14 +464,14 @@ TEST(ServeServer, HitAfterMissIsByteIdenticalWithZeroExecution)
     ASSERT_TRUE(cold.ok());
     EXPECT_EQ(cold.misses, items.size());
     EXPECT_EQ(cold.hits, 0u);
-    EXPECT_EQ(to_csv(cold.merged()), serial);
+    EXPECT_EQ(to_csv(cold.results), serial);
 
     const ServedSweep warm =
         serve::run_batch_served(items, client_options(cfg));
     ASSERT_TRUE(warm.ok());
     EXPECT_EQ(warm.hits, items.size());
     EXPECT_EQ(warm.misses, 0u);
-    EXPECT_EQ(to_csv(warm.merged()), serial);
+    EXPECT_EQ(to_csv(warm.results), serial);
 
     const serve::ServeStats stats = server.stats();
     EXPECT_EQ(stats.executed, items.size()); // pass 2 executed nothing
@@ -492,7 +492,7 @@ TEST(ServeServer, RestartRebuildsFromTornCacheAndServesHits)
         const ServedSweep cold =
             serve::run_batch_served(items, client_options(cfg));
         ASSERT_TRUE(cold.ok());
-        cold_csv = to_csv(cold.merged());
+        cold_csv = to_csv(cold.results);
         first.stop();
     }
     // Tear the cache tail, as a SIGKILL mid-append would.
@@ -511,7 +511,7 @@ TEST(ServeServer, RestartRebuildsFromTornCacheAndServesHits)
         serve::run_batch_served(items, client_options(cfg));
     ASSERT_TRUE(warm.ok());
     EXPECT_EQ(warm.hits, items.size());
-    EXPECT_EQ(to_csv(warm.merged()), cold_csv);
+    EXPECT_EQ(to_csv(warm.results), cold_csv);
     EXPECT_EQ(second.stats().executed, 0u);
     second.stop();
 }
@@ -535,7 +535,7 @@ TEST(ServeServer, ConcurrentClientsSingleFlightEachPointOnce)
             const ServedSweep got =
                 serve::run_batch_served(items, client_options(cfg));
             if (got.ok())
-                csvs[static_cast<std::size_t>(c)] = to_csv(got.merged());
+                csvs[static_cast<std::size_t>(c)] = to_csv(got.results);
         });
     }
     for (std::thread &t : clients)
@@ -592,9 +592,8 @@ TEST(ServeServer, QuarantinedPointsAreNeverCached)
         serve::run_batch_served(items, client_options(cfg));
     EXPECT_EQ(first.quarantined, items.size());
     EXPECT_FALSE(first.ok());
-    EXPECT_THROW(first.merged(), std::runtime_error);
-    EXPECT_NE(first.quarantine_summary().find("point 0"),
-              std::string::npos);
+    EXPECT_EQ(first.statuses[0], serve::ServedStatus::kQuarantined);
+    EXPECT_NE(first.errors[0].find("exit code 1"), std::string::npos);
 
     // Nothing was cached, so a second request re-attempts (and fails
     // again) instead of replaying a bogus hit.
@@ -621,8 +620,8 @@ TEST(ServeServer, IsolateBackendMatchesInProcessBytes)
     const auto items = serve_items({0.02, 0.05});
     const ServedSweep got =
         serve::run_batch_served(items, client_options(cfg));
-    ASSERT_TRUE(got.ok()) << got.quarantine_summary();
-    EXPECT_EQ(to_csv(got.merged()), to_csv(run_batch(items)));
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(to_csv(got.results), to_csv(run_batch(items)));
     server.stop();
 }
 
@@ -673,8 +672,8 @@ TEST(ServeServer, IsolatedMissIsCachedBeforeItsSiblingsFinish)
                            "sibling stalled";
     EXPECT_EQ(fast.hits, cached ? 1u : 0u);
     EXPECT_EQ(entries_while_stalled, 1u);
-    ASSERT_TRUE(both.ok()) << both.quarantine_summary();
-    EXPECT_EQ(to_csv(both.merged()), to_csv(run_batch(items)));
+    ASSERT_TRUE(both.ok());
+    EXPECT_EQ(to_csv(both.results), to_csv(run_batch(items)));
     server.stop();
 }
 
@@ -714,7 +713,7 @@ TEST(ServeServer, ClientRetriesUntilTheDaemonAppears)
     server.start();
     client.join();
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(to_csv(got.merged()), to_csv(run_batch(items)));
+    EXPECT_EQ(to_csv(got.results), to_csv(run_batch(items)));
     server.stop();
 }
 

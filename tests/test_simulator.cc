@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "exec/sweep_runner.h"
 #include "sim/simulator.h"
 
 namespace catnap {
@@ -60,10 +61,14 @@ TEST(Harness, SweepLoadPreservesOrderAndCount)
     rp.warmup = 200;
     rp.measure = 800;
     rp.drain_max = 500;
-    SyntheticConfig traffic;
     const std::vector<double> loads = {0.02, 0.10, 0.20};
-    const auto results =
-        sweep_load(multi_noc_config(2), traffic, rp, loads);
+    std::vector<RunItem> items;
+    for (const double load : loads) {
+        SyntheticConfig traffic;
+        traffic.load = load;
+        items.push_back(RunItem{multi_noc_config(2), traffic, rp});
+    }
+    const auto results = run_batch(items);
     ASSERT_EQ(results.size(), loads.size());
     for (std::size_t i = 0; i < loads.size(); ++i)
         EXPECT_DOUBLE_EQ(results[i].offered_load, loads[i]);

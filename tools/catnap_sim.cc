@@ -295,7 +295,7 @@ main(int argc, char **argv)
     std::string snapshot_out = "snapshots.csv";
     std::size_t trace_capacity = EventTrace::kDefaultCapacity;
     Cycle snapshot_every = 0;
-    std::vector<double> sweep_loads;
+    std::vector<double> loads;
     SweepOptions sweep;
     std::string csv_out;
     std::string save_ckpt;
@@ -357,7 +357,7 @@ main(int argc, char **argv)
         else if (a == "--no-vscale")
             rp.voltage_scaling = ap.voltage_scaling = false;
         else if (a == "--loads")
-            sweep_loads = parse_loads(a.c_str(), need_value(argc, argv, i));
+            loads = parse_loads(a.c_str(), need_value(argc, argv, i));
         else if (a == "--csv")
             csv_out = need_value(argc, argv, i);
         else if (a == "--save-ckpt")
@@ -487,7 +487,7 @@ main(int argc, char **argv)
     }
     check_sweep_options(sweep);
     if ((sweep.isolate || !sweep.serve.empty()) &&
-        (mode != "synthetic" || sweep_loads.empty())) {
+        (mode != "synthetic" || loads.empty())) {
         std::fprintf(stderr, "--isolate and --serve apply to synthetic "
                              "--loads sweeps\n");
         usage(kExitUsage);
@@ -497,7 +497,7 @@ main(int argc, char **argv)
             ? threshold
             : CongestionConfig::default_threshold(cfg.congestion.metric);
 
-    if (mode == "synthetic" && !sweep_loads.empty()) {
+    if (mode == "synthetic" && !loads.empty()) {
         // Load sweep: one point per load on the backend the sweep flags
         // select; results arrive in load order, bit-identical across
         // backends and --jobs values (the status line goes to stderr).
@@ -513,8 +513,8 @@ main(int argc, char **argv)
             usage(2);
         }
         std::vector<RunItem> items;
-        items.reserve(sweep_loads.size());
-        for (const double load : sweep_loads) {
+        items.reserve(loads.size());
+        for (const double load : loads) {
             RunItem item{cfg, traffic, rp};
             item.traffic.load = load;
             items.push_back(std::move(item));
