@@ -3,8 +3,10 @@
 # run the Figure 10 sweep under --isolate, SIGKILL a worker mid-point,
 # then SIGKILL the supervisor itself mid-sweep, resume from the journal,
 # and require the merged CSV to be bit-for-bit identical to an
-# uninterrupted serial in-process run. A second leg checks that
-# permanent failures produce a deterministic quarantine report.
+# uninterrupted serial in-process run. Then tear the journal's tail and
+# require the second resume after it to replay every point. A last leg
+# checks that permanent failures produce a deterministic quarantine
+# report.
 #
 # Usage: scripts/chaos_resume.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -80,7 +82,23 @@ cmp "$WORK/baseline.csv" "$WORK/resumed.csv" ||
   { echo "error: resumed CSV differs from uninterrupted baseline" >&2; exit 1; }
 echo "resumed CSV is bit-for-bit identical to the serial baseline"
 
-echo "== leg 4: quarantine report is deterministic =="
+echo "== leg 4: a torn journal tail stays resumable =="
+# A supervisor killed mid-append leaves a torn record: the first resume
+# re-runs that point, the second must find all 36 intact.
+truncate -s -5 "$JOURNAL"
+for pass in 1 2; do
+  "$FIG10" --isolate --jobs 1 --resume --journal "$JOURNAL" \
+    --scratch "$WORK/scratch" --csv "$WORK/torn$pass.csv" \
+    > /dev/null 2> "$WORK/torn$pass.stderr"
+  grep '^\[isolate\]' "$WORK/torn$pass.stderr"
+done
+grep -q 'hit(s), 0 executed, 36 point(s) from journal' "$WORK/torn2.stderr" ||
+  { echo "error: second resume after a torn tail re-ran points" >&2; exit 1; }
+cmp "$WORK/baseline.csv" "$WORK/torn2.csv" ||
+  { echo "error: CSV after a torn tail differs from the baseline" >&2; exit 1; }
+echo "second resume after a torn tail replays every point bit-for-bit"
+
+echo "== leg 5: quarantine report is deterministic =="
 QARGS=(--subnets 2 --gating catnap --loads 0.05,0.10 --warmup 200
        --measure 600 --isolate --worker /bin/false
        --scratch "$WORK/qscratch" --point-retries 1)

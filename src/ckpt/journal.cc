@@ -108,7 +108,6 @@ JournalWriter::append(std::uint64_t key,
     out_.flush();
     if (!out_)
         throw CkptError("journal: append to '" + path_ + "' failed");
-    ++appended_;
 }
 
 } // namespace ckpt

@@ -113,15 +113,11 @@ class JournalWriter
     /** Seals and appends one record; throws CkptError on I/O failure. */
     void append(std::uint64_t key, const std::vector<std::uint8_t> &payload);
 
-    /** Records appended through this writer (excludes pre-existing). */
-    std::uint64_t appended() const { return appended_; }
-
     const std::string &path() const { return path_; }
 
   private:
     std::string path_;
     std::ofstream out_;
-    std::uint64_t appended_ = 0;
 };
 
 } // namespace ckpt

@@ -1,5 +1,7 @@
 #include "exec/point_codec.h"
 
+#include <cstdio>
+
 #include "ckpt/checkpoint.h"
 
 namespace catnap {
@@ -285,6 +287,15 @@ point_hash(const RunItem &item)
     h.mix_bool(item.params.voltage_scaling);
     h.mix_u64(item.params.seed);
     return h.value();
+}
+
+std::string
+key_hex(std::uint64_t key)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(key));
+    return buf;
 }
 
 std::vector<std::uint8_t>

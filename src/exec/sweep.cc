@@ -4,25 +4,48 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <map>
+#include <memory>
+#include <mutex>
 
 #include <unistd.h>
 
 #include "exec/point_codec.h"
+#include "exec/proc_runner.h"
+#include "serve/cache.h"
 #include "serve/client.h"
 
 namespace catnap {
 
 namespace {
 
-/** Scratch directory of a local isolated sweep (the daemon has its
- * own, ServeExecPolicy::scratch, so the two never share files). */
-constexpr const char *kDefaultScratch = ".catnap-scratch";
-
 /** The running binary's name, for diagnostics. */
 const char *
 prog()
 {
     return program_invocation_short_name;
+}
+
+/** Opens @p opts' journal as a result cache, or returns null when the
+ * sweep keeps none. Without --resume the sweep starts over, so an
+ * existing file is deleted first. The parent directory is created, so
+ * a journal may live in a scratch directory that does not exist yet. */
+std::unique_ptr<serve::ResultCache>
+open_journal(const SweepOptions &opts)
+{
+    if (opts.journal.empty())
+        return nullptr;
+    std::error_code ec; // any failure here surfaces as the open's error
+    if (!opts.resume)
+        std::filesystem::remove(opts.journal, ec);
+    const std::filesystem::path parent =
+        std::filesystem::path(opts.journal).parent_path();
+    if (!parent.empty())
+        std::filesystem::create_directories(parent, ec);
+    serve::CacheConfig cc;
+    cc.path = opts.journal;
+    return std::make_unique<serve::ResultCache>(cc);
 }
 
 } // namespace
@@ -220,24 +243,51 @@ default_worker_path()
                                                 : dir + "/../tools/catnap_sim";
 }
 
-PointReport
-execute_point(std::size_t index, const RunItem &item, ProcRunner *proc)
+std::string
+PointReport::failure_reason() const
 {
-    if (proc != nullptr)
-        return proc->run_one(index, item);
-    PointReport rep;
-    rep.attempts = 1;
-    try {
-        rep.result = run_synthetic(item.cfg, item.traffic, item.params);
-        rep.status = PointStatus::kOk;
-    } catch (const std::exception &e) {
-        PointFailure fail;
-        fail.kind = PointFailKind::kThrew;
-        fail.message = std::string("point threw: ") + e.what();
-        rep.failures.push_back(std::move(fail));
-        rep.status = PointStatus::kQuarantined;
+    std::string s = std::to_string(attempts) + " attempt(s) [";
+    for (std::size_t f = 0; f < failures.size(); ++f) {
+        if (f != 0)
+            s += "; ";
+        s += failures[f].message;
     }
-    return rep;
+    return s + "]";
+}
+
+void
+execute_points(const std::vector<RunItem> &items,
+               const std::vector<std::size_t> &slots,
+               const SweepOptions &opts, EventSink *sink,
+               const std::function<void(std::size_t, PointReport)> &done)
+{
+    if (slots.empty())
+        return;
+    std::unique_ptr<ProcRunner> proc;
+    if (opts.isolate)
+        proc = std::make_unique<ProcRunner>(opts, sink);
+    ExecOptions eo;
+    eo.jobs = opts.jobs;
+    SweepRunner(eo).run_jobs(slots.size(), [&](std::size_t p) {
+        const std::size_t slot = slots[p];
+        const RunItem &item = items[slot];
+        if (proc != nullptr) {
+            done(slot, proc->run_one(slot, item));
+            return;
+        }
+        PointReport rep;
+        rep.attempts = 1;
+        try {
+            rep.result = run_synthetic(item.cfg, item.traffic, item.params);
+            rep.status = Provenance::kExecuted;
+        } catch (const std::exception &e) {
+            PointFailure fail;
+            fail.kind = PointFailKind::kThrew;
+            fail.message = std::string("point threw: ") + e.what();
+            rep.failures.push_back(std::move(fail));
+        }
+        done(slot, std::move(rep));
+    });
 }
 
 std::string
@@ -256,66 +306,61 @@ run_sweep(const std::vector<RunItem> &items, const SweepOptions &opts)
 {
     const std::size_t n = items.size();
     SweepOutcome out;
+    out.backend = !opts.serve.empty() ? "serve"
+                  : opts.isolate      ? "isolate"
+                                      : "local";
     out.results.resize(n);
     out.provenance.assign(n, Provenance::kQuarantined);
+    std::vector<std::uint64_t> keys(n);
+    for (std::size_t i = 0; i < n; ++i)
+        keys[i] = point_hash(items[i]);
     std::vector<std::string> why(n);
     try {
         if (!opts.serve.empty()) {
-            out.backend = "serve";
             serve::ServeClientOptions copts;
             copts.socket_path = opts.serve;
             serve::ServedSweep sweep = serve::run_batch_served(items, copts);
-            for (std::size_t i = 0; i < n; ++i) {
-                switch (sweep.statuses[i]) {
-                  case serve::ServedStatus::kHit:
-                    out.provenance[i] = Provenance::kCacheHit;
-                    break;
-                  case serve::ServedStatus::kMiss:
-                    out.provenance[i] = Provenance::kExecuted;
-                    break;
-                  case serve::ServedStatus::kQuarantined:
-                    why[i] = sweep.errors[i];
-                    break;
-                }
-                out.results[i] = std::move(sweep.results[i]);
-            }
+            out.results = std::move(sweep.results);
+            out.provenance = std::move(sweep.provenance);
+            why = std::move(sweep.errors);
         } else {
-            std::vector<PointReport> reports;
-            if (opts.isolate) {
-                out.backend = "isolate";
-                ProcOptions po;
-                po.worker = opts.worker.empty() ? default_worker_path()
-                                                : opts.worker;
-                po.scratch_dir =
-                    opts.scratch.empty() ? kDefaultScratch : opts.scratch;
-                po.journal = opts.journal;
-                po.resume = opts.resume;
-                po.jobs = opts.jobs;
-                po.max_retries = opts.point_retries;
-                po.timeout_ms = opts.point_timeout_ms;
-                ProcRunner runner(po);
-                reports = runner.run(items).points;
-            } else {
-                ExecOptions eo;
-                eo.jobs = opts.jobs;
-                SweepRunner runner(eo);
-                reports = runner.map<PointReport>(n, [&items](std::size_t i) {
-                    return execute_point(i, items[i], nullptr);
-                });
-            }
+            // Identical points resolve once, through their first copy.
+            const std::unique_ptr<serve::ResultCache> journal =
+                open_journal(opts);
+            std::mutex journal_mutex;
+            std::map<std::uint64_t, std::size_t> first;
+            std::vector<std::size_t> misses;
             for (std::size_t i = 0; i < n; ++i) {
-                switch (reports[i].status) {
-                  case PointStatus::kOk:
-                    out.provenance[i] = Provenance::kExecuted;
-                    break;
-                  case PointStatus::kFromJournal:
+                if (!first.emplace(keys[i], i).second)
+                    continue;
+                if (journal != nullptr &&
+                    serve::replay_result(*journal, keys[i], out.results[i]))
                     out.provenance[i] = Provenance::kFromJournal;
-                    break;
-                  case PointStatus::kQuarantined:
-                    why[i] = reports[i].failure_reason();
-                    break;
+                else
+                    misses.push_back(i);
+            }
+            execute_points(items, misses, opts, nullptr,
+                           [&](std::size_t slot, PointReport rep) {
+                if (rep.status == Provenance::kQuarantined) {
+                    why[slot] = rep.failure_reason();
+                    return;
                 }
-                out.results[i] = std::move(reports[i].result);
+                if (journal != nullptr) {
+                    // Stored the moment the point finishes: a supervisor
+                    // killed right after this loses nothing.
+                    std::lock_guard<std::mutex> lock(journal_mutex);
+                    serve::store_result(*journal, keys[slot], rep.result);
+                }
+                out.provenance[slot] = rep.status;
+                out.results[slot] = std::move(rep.result);
+            });
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::size_t f = first.at(keys[i]);
+                if (f != i) {
+                    out.results[i] = out.results[f];
+                    out.provenance[i] = out.provenance[f];
+                    why[i] = why[f];
+                }
             }
         }
     } catch (const serve::ServeError &e) {
@@ -351,9 +396,8 @@ run_sweep(const std::vector<RunItem> &items, const SweepOptions &opts)
             continue;
         char head[128];
         std::snprintf(head, sizeof head,
-                      "  point %zu key=%016llx load=%.6g seed=%llu: ", i,
-                      static_cast<unsigned long long>(point_hash(items[i])),
-                      items[i].traffic.load,
+                      "  point %zu key=%s load=%.6g seed=%llu: ", i,
+                      key_hex(keys[i]).c_str(), items[i].traffic.load,
                       static_cast<unsigned long long>(items[i].params.seed));
         out.quarantine_summary += head + why[i] + "\n";
     }

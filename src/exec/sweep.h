@@ -2,13 +2,19 @@
  * @file
  * The one sweep-execution interface (DESIGN.md §12): the options every
  * sweeping binary shares, their strict command-line parser and
- * exclusion rules, and run_sweep(), which executes ordered RunItems on
- * one of three backends and reports where every point came from:
+ * exclusion rules, the one miss executor, and run_sweep(), which
+ * executes ordered RunItems on one of three backends and reports where
+ * every point came from:
  *
  *   local    the in-process thread pool (exec/sweep_runner.h)
- *   isolate  supervised catnap_sim worker subprocesses with retry,
- *            quarantine and a resumable journal (exec/proc_runner.h)
+ *   isolate  supervised catnap_sim worker subprocesses with retry and
+ *            quarantine (exec/proc_runner.h)
  *   serve    the catnap_serve daemon and its result cache (serve/)
+ *
+ * With --journal, run_sweep() keeps finished points in a
+ * serve::ResultCache file, the daemon's cache format, and --resume
+ * replays them. execute_points() runs the misses of both run_sweep()
+ * and the daemon.
  *
  * catnap_sim --loads, catnap_serve and the bench harnesses all parse
  * their sweep flags here, so a flag means the same thing, fails the same
@@ -24,11 +30,12 @@
 #define CATNAP_EXEC_SWEEP_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "exec/proc_runner.h"
 #include "exec/sweep_runner.h"
+#include "obs/event.h"
 #include "sim/simulator.h"
 
 namespace catnap {
@@ -55,16 +62,23 @@ struct SweepOptions
     /** Worker executable; empty = default_worker_path(). */
     std::string worker;
 
-    /** Spec/result exchange directory; empty = the backend's default. */
+    /** Spec/result exchange directory; empty = .catnap-scratch. Files
+     * are named by point key, so concurrent sweeps need distinct
+     * directories. */
     std::string scratch;
 
-    /** Append every finished point to this CRC-checked journal. */
+    /** Keep every finished point in this CRC-checked result-cache file
+     * (serve/cache.h); without --resume an existing file is deleted
+     * first. */
     std::string journal;
 
     /** Replay the journal's intact records, run only missing points. */
     bool resume = false;
 
-    /** Per-attempt wall budget of a worker in ms; 0 = unlimited. */
+    /** Per-attempt wall budget of a worker in ms; 0 = unlimited. Only
+     * the spawned process is killed, not its children, so a
+     * wrapper-script worker must `exec` its target: an orphaned child
+     * would outlive the watchdog. */
     std::int64_t point_timeout_ms = 0;
 
     /** Extra worker attempts before a point is quarantined. */
@@ -129,23 +143,61 @@ void check_sweep_options(const SweepOptions &opts, bool fork_warmup = false);
  * ../tools/ (the build-tree layout of the bench harnesses). */
 std::string default_worker_path();
 
-/**
- * Runs one point: in-process when @p proc is null, else in a worker
- * supervised by @p proc (ProcRunner::run_one). Point failures come back
- * quarantined, never thrown — an in-process throw quarantines at once,
- * because the simulator is deterministic and a retry would throw again.
- * Only supervisor faults (an unspawnable worker) propagate.
- */
-PointReport execute_point(std::size_t index, const RunItem &item,
-                          ProcRunner *proc);
-
 /** Where one point's result came from. */
 enum class Provenance : std::int8_t {
-    kExecuted = 0,    ///< simulated by this sweep
-    kFromJournal = 1, ///< replayed from the --isolate journal
+    kExecuted = 0,    ///< simulated by this sweep (or daemon request)
+    kFromJournal = 1, ///< replayed from the --journal file
     kCacheHit = 2,    ///< replayed from the daemon's result cache
     kQuarantined = 3, ///< every attempt failed; no result
 };
+
+/** Classification of one failed attempt (kProcExit payload b). */
+enum class PointFailKind : std::int8_t {
+    kNone = 0,      ///< attempt succeeded
+    kExit = 1,      ///< worker exited with a nonzero code (detail=code)
+    kSignal = 2,    ///< worker died on a signal (detail=signal number)
+    kTimeout = 3,   ///< watchdog SIGKILL at the budget (detail=ms)
+    kBadResult = 4, ///< worker exited 0 but its result image failed
+                    ///< validation (missing/truncated/corrupt/foreign)
+    kThrew = 5,     ///< an in-process point threw (message = what())
+};
+
+/** One failed attempt, classified. */
+struct PointFailure
+{
+    PointFailKind kind = PointFailKind::kNone;
+    std::int64_t detail = 0; ///< exit code, signal number, or budget ms
+    std::string message;     ///< human-readable classification
+};
+
+/** Outcome of executing one point: kExecuted or kQuarantined. */
+struct PointReport
+{
+    Provenance status = Provenance::kQuarantined;
+    int attempts = 0;                   ///< runs (workers spawned)
+    std::vector<PointFailure> failures; ///< one entry per failed attempt
+    SyntheticResult result;             ///< valid unless quarantined
+
+    /** "N attempt(s) [failure; failure]" — why a point quarantined. */
+    std::string failure_reason() const;
+};
+
+/**
+ * The one miss executor: runs items[slot] for every slot in @p slots on
+ * min(opts.jobs, |slots|) threads — in-process, or in a supervised
+ * worker subprocess per point when opts.isolate is set (the only place
+ * a ProcRunner is built; @p sink, which may be null, receives its
+ * proc.* events) — and calls @p done(slot, report) on the worker thread
+ * the moment that point finishes. Point failures arrive quarantined,
+ * never thrown: an in-process throw quarantines at once, because the
+ * simulator is deterministic and a retry would throw again. Supervisor
+ * faults (an unspawnable worker, an unusable scratch directory) and
+ * exceptions from @p done propagate once every slot has been attempted.
+ */
+void execute_points(const std::vector<RunItem> &items,
+                    const std::vector<std::size_t> &slots,
+                    const SweepOptions &opts, EventSink *sink,
+                    const std::function<void(std::size_t, PointReport)> &done);
 
 /** Everything run_sweep() reports. */
 struct SweepOutcome
@@ -176,8 +228,14 @@ struct SweepOutcome
     std::string status_line() const;
 };
 
-/** Runs @p items on the backend @p opts selects. Never throws: every
- * failure is reported through the outcome's exit code. */
+/**
+ * Runs @p items on the backend @p opts selects. Locally, points with the
+ * same key (exec/point_codec.h) resolve once and later copies take the
+ * first copy's result and provenance; with opts.journal, the journal's
+ * points replay as kFromJournal and every executed point is stored the
+ * moment it finishes. Never throws: every failure is reported through
+ * the outcome's exit code.
+ */
 SweepOutcome run_sweep(const std::vector<RunItem> &items,
                        const SweepOptions &opts);
 

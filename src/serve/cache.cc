@@ -1,6 +1,9 @@
 #include "serve/cache.h"
 
 #include <algorithm>
+#include <cstdio>
+
+#include "exec/point_codec.h"
 
 namespace catnap {
 namespace serve {
@@ -119,16 +122,50 @@ ResultCache::compact()
 {
     if (cfg_.path.empty())
         return;
-    // Rewrite the file from the live index in insertion order, then
-    // keep the truncate-mode writer for subsequent appends.
-    writer_.reset();
-    writer_ = std::make_unique<ckpt::JournalWriter>(
-        cfg_.path, ckpt::JournalWriter::Mode::kTruncate);
-    for (const std::uint64_t key : order_) {
-        const auto it = index_.find(key);
-        if (it != index_.end())
-            writer_->append(key, it->second);
+    // Rewrite the live index in insertion order into a side file and
+    // rename it over the cache: a process killed mid-compaction leaves
+    // the old file, every intact record included, in place.
+    const std::string tmp = cfg_.path + ".tmp";
+    {
+        ckpt::JournalWriter out(tmp, ckpt::JournalWriter::Mode::kTruncate);
+        for (const std::uint64_t key : order_) {
+            const auto it = index_.find(key);
+            if (it != index_.end())
+                out.append(key, it->second);
+        }
     }
+    writer_.reset();
+    if (std::rename(tmp.c_str(), cfg_.path.c_str()) != 0)
+        throw ckpt::CkptError("cache: cannot replace '" + cfg_.path + "'");
+    writer_ = std::make_unique<ckpt::JournalWriter>(
+        cfg_.path, ckpt::JournalWriter::Mode::kAppend);
+}
+
+bool
+replay_result(const ResultCache &cache, std::uint64_t key,
+              SyntheticResult &out)
+{
+    std::vector<std::uint8_t> payload;
+    if (!cache.lookup(key, payload))
+        return false;
+    try {
+        ckpt::Reader r(payload);
+        SyntheticResult res = take_synth_result(r);
+        r.expect_exhausted();
+        out = std::move(res);
+        return true;
+    } catch (const ckpt::CkptError &) {
+        return false;
+    }
+}
+
+void
+store_result(ResultCache &cache, std::uint64_t key,
+             const SyntheticResult &res)
+{
+    ckpt::Writer w;
+    put_synth_result(w, res);
+    cache.insert(key, w.bytes());
 }
 
 } // namespace serve

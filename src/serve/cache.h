@@ -1,7 +1,7 @@
 /**
  * @file
- * Content-addressed, persistent result cache for the sweep service
- * (DESIGN.md §17).
+ * Content-addressed, persistent result cache: the sweep service's
+ * cache (DESIGN.md §17) and run_sweep()'s --journal file (§15).
  *
  * Every cached entry is one simulation point's SyntheticResult payload
  * (the exec/point_codec.h `put_synth_result` byte stream) keyed by the
@@ -15,16 +15,19 @@
  * in-memory index via scan_journal(), which tolerates a torn tail — a
  * daemon SIGKILLed mid-append loses at most the record being written,
  * never the cache. When the scan discards tail bytes, the file is
- * compacted (rewritten from the intact records) before appending
- * resumes, so a torn tail can never strand later appends behind
- * unreadable bytes.
+ * compacted (the intact records are written to PATH.tmp, which is
+ * then renamed over PATH) before appending resumes, so a torn tail can
+ * never strand later appends behind unreadable bytes, and a process
+ * killed mid-compaction keeps the old file.
  *
  * Eviction: with a non-zero byte bound, inserting past the bound
  * evicts the oldest entries first (insertion order, deterministic)
  * until the cache fits, then compacts the file. The entry being
  * inserted is never evicted by its own insertion.
  *
- * Not thread-safe: the server serialises access behind its own mutex.
+ * Not thread-safe: the server and run_sweep() serialise access behind
+ * their own mutex. replay_result() and store_result() are the one
+ * codec between an entry and its SyntheticResult.
  */
 #ifndef CATNAP_SERVE_CACHE_H
 #define CATNAP_SERVE_CACHE_H
@@ -39,6 +42,9 @@
 #include "ckpt/journal.h"
 
 namespace catnap {
+
+struct SyntheticResult;
+
 namespace serve {
 
 /** Policy for one ResultCache. */
@@ -112,6 +118,19 @@ class ResultCache
     std::uint64_t discarded_ = 0;
     std::unique_ptr<ckpt::JournalWriter> writer_;
 };
+
+/**
+ * Decodes the entry under @p key into @p out. False, with @p out
+ * untouched, when the key is absent or its payload does not decode to
+ * exactly one SyntheticResult with no bytes left over: a damaged
+ * record is re-executed, never replayed.
+ */
+bool replay_result(const ResultCache &cache, std::uint64_t key,
+                   SyntheticResult &out);
+
+/** Encodes @p res and inserts it under @p key (ResultCache::insert). */
+void store_result(ResultCache &cache, std::uint64_t key,
+                  const SyntheticResult &res);
 
 } // namespace serve
 } // namespace catnap

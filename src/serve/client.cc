@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -182,15 +181,6 @@ stat_u64(const JsonValue &stats, const char *name)
     return static_cast<std::uint64_t>(v->number);
 }
 
-std::string
-key_hex(std::uint64_t key)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(key));
-    return buf;
-}
-
 } // namespace
 
 ServedSweep
@@ -227,7 +217,7 @@ run_batch_served(const std::vector<RunItem> &items,
 
     ServedSweep out;
     out.results.resize(items.size());
-    out.statuses.assign(items.size(), ServedStatus::kQuarantined);
+    out.provenance.assign(items.size(), Provenance::kQuarantined);
     out.errors.assign(items.size(), "");
     for (std::size_t i = 0; i < items.size(); ++i) {
         const JsonValue &p = points->items[i];
@@ -242,7 +232,6 @@ run_batch_served(const std::vector<RunItem> &items,
         }
         if (status->string == "quarantined") {
             const JsonValue *err = p.find("error");
-            out.statuses[i] = ServedStatus::kQuarantined;
             out.errors[i] =
                 err != nullptr && err->kind == JsonValue::Kind::kString
                     ? err->string
@@ -251,10 +240,10 @@ run_batch_served(const std::vector<RunItem> &items,
             continue;
         }
         if (status->string == "hit") {
-            out.statuses[i] = ServedStatus::kHit;
+            out.provenance[i] = Provenance::kCacheHit;
             ++out.hits;
         } else if (status->string == "miss") {
-            out.statuses[i] = ServedStatus::kMiss;
+            out.provenance[i] = Provenance::kExecuted;
             ++out.misses;
         } else {
             throw ServeError("serve client: points[" + std::to_string(i) +

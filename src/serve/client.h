@@ -21,7 +21,7 @@
  * Protocol-level errors (a malformed-request reply, an undecodable
  * response) are programming errors, not outages, and throw ServeError
  * immediately. Per-point quarantine is data, not an exception: it is
- * reported in ServedSweep, mirroring ProcSweepResult.
+ * reported in ServedSweep, one Provenance per point.
  */
 #ifndef CATNAP_SERVE_CLIENT_H
 #define CATNAP_SERVE_CLIENT_H
@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/sweep_runner.h"
+#include "exec/sweep.h"
 #include "serve/server.h"
 #include "sim/simulator.h"
 
@@ -51,21 +51,16 @@ struct ServeClientOptions
     std::int64_t retry_delay_ms = 250;
 };
 
-/** Where one served point's bytes came from. */
-enum class ServedStatus : std::int8_t {
-    kHit = 0,         ///< replayed from the daemon's result cache
-    kMiss = 1,        ///< executed by the daemon for this request
-    kQuarantined = 2, ///< every daemon-side attempt failed; no result
-};
-
-/** Outcome of one served batch (shape mirrors ProcSweepResult). */
+/** Outcome of one served batch. */
 struct ServedSweep
 {
-    /** Index-ordered; slot i is valid unless statuses[i] is
+    /** Index-ordered; slot i is valid unless provenance[i] is
      * kQuarantined. */
     std::vector<SyntheticResult> results;
-    std::vector<ServedStatus> statuses; ///< per-point provenance
-    std::vector<std::string> errors;    ///< per-point; empty unless quar.
+    /** kCacheHit ("hit" on the wire), kExecuted ("miss": the daemon ran
+     * it for this request) or kQuarantined. */
+    std::vector<Provenance> provenance;
+    std::vector<std::string> errors; ///< per-point; empty unless quar.
 
     std::size_t hits = 0;
     std::size_t misses = 0;

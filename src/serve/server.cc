@@ -168,8 +168,6 @@ ServeServer::ServeServer(const ServeConfig &cfg) : cfg_(cfg)
 {
     if (cfg_.socket_path.empty())
         throw std::invalid_argument("serve: socket path is required");
-    if (cfg_.exec.isolate && cfg_.exec.worker.empty())
-        throw std::invalid_argument("serve: isolate mode needs a worker");
 
     cache_ = std::make_unique<ResultCache>(cfg_.cache);
     stats_.restored_records = cache_->restored();
@@ -433,17 +431,9 @@ ServeServer::handle_sweep(const std::vector<RunItem> &items)
     std::uint64_t misses = 0;
     std::uint64_t quarantined = 0;
     for (const PointAnswer &a : answers) {
-        switch (a.status) {
-        case PointAnswer::Status::kHit:
-            ++hits;
-            break;
-        case PointAnswer::Status::kMiss:
-            ++misses;
-            break;
-        case PointAnswer::Status::kQuarantined:
-            ++quarantined;
-            break;
-        }
+        hits += a.status == Provenance::kCacheHit ? 1 : 0;
+        misses += a.status == Provenance::kExecuted ? 1 : 0;
+        quarantined += a.status == Provenance::kQuarantined ? 1 : 0;
     }
 
     std::string stats_body;
@@ -469,24 +459,18 @@ ServeServer::handle_sweep(const std::vector<RunItem> &items)
         const PointAnswer &a = answers[i];
         if (i != 0)
             out += ',';
-        switch (a.status) {
-        case PointAnswer::Status::kHit:
-            out += "{\"status\":\"hit\",\"result\":\"";
-            break;
-        case PointAnswer::Status::kMiss:
-            out += "{\"status\":\"miss\",\"result\":\"";
-            break;
-        case PointAnswer::Status::kQuarantined:
+        if (a.status == Provenance::kQuarantined) {
             out += "{\"status\":\"quarantined\",\"error\":";
             out += json_quote(a.error);
             out += '}';
             continue;
         }
+        out += a.status == Provenance::kCacheHit
+                   ? "{\"status\":\"hit\",\"result\":\""
+                   : "{\"status\":\"miss\",\"result\":\"";
         // The wire image is sealed under the point hash, so the client
         // re-validates that these bytes belong to the point it sent.
-        ckpt::Reader r(a.result_payload);
-        const SyntheticResult res = take_synth_result(r);
-        out += to_hex(encode_point_result(items[i], res));
+        out += to_hex(encode_point_result(items[i], a.result));
         out += "\"}";
     }
     out += "],\"stats\":";
@@ -533,22 +517,9 @@ ServeServer::resolve_points(const std::vector<RunItem> &items)
             std::unique_lock<std::mutex> lock(mu_);
             for (const std::size_t i : todo) {
                 const std::uint64_t key = keys[i];
-                std::vector<std::uint8_t> payload;
-                if (cache_->lookup(key, payload)) {
-                    bool valid = true;
-                    try {
-                        // Validate before serving: a corrupt record is
-                        // re-executed, never replayed.
-                        ckpt::Reader r(payload);
-                        (void)take_synth_result(r);
-                    } catch (const ckpt::CkptError &) {
-                        valid = false;
-                    }
-                    if (valid) {
-                        answers[i].status = PointAnswer::Status::kHit;
-                        answers[i].result_payload = std::move(payload);
-                        continue;
-                    }
+                if (replay_result(*cache_, key, answers[i].result)) {
+                    answers[i].status = Provenance::kCacheHit;
+                    continue;
                 }
                 if (inflight_.find(key) != inflight_.end()) {
                     waiting.push_back(i);
@@ -585,88 +556,66 @@ ServeServer::execute_misses(const std::vector<RunItem> &items,
     }
     // Whatever happens below, every claimed key must be released or the
     // single-flight table wedges other requests forever.
-    std::vector<std::uint8_t> done(pending.size(), 0);
+    std::vector<std::uint8_t> done(items.size(), 0);
     try {
-        std::unique_ptr<ProcRunner> proc;
-        if (cfg_.exec.isolate) {
-            ProcOptions popts;
-            popts.worker = cfg_.exec.worker;
-            popts.scratch_dir = cfg_.exec.scratch;
-            popts.max_retries = cfg_.exec.max_retries;
-            popts.timeout_ms = cfg_.exec.timeout_ms;
-            popts.sink = cfg_.sink;
-            proc = std::make_unique<ProcRunner>(popts);
-        }
-        ExecOptions eopts;
-        eopts.jobs = cfg_.exec.jobs;
-        SweepRunner runner(eopts);
         // One job per miss, published the moment it finishes: a waiter
         // on one point never waits for its siblings, and a daemon killed
         // mid-request keeps every point that completed.
-        runner.run_jobs(pending.size(), [&](std::size_t p) {
-            const std::size_t slot = pending[p];
-            const PointReport rep =
-                execute_point(slot, items[slot], proc.get());
-            const bool ok = rep.status != PointStatus::kQuarantined;
-            std::vector<std::uint8_t> payload;
-            if (ok) {
-                ckpt::Writer w;
-                put_synth_result(w, rep.result);
-                payload = w.bytes();
-            }
-            finish_point(keys[slot], slot, ok, payload,
-                         ok ? "" : rep.failure_reason(), answers);
-            done[p] = 1;
+        execute_points(items, pending, cfg_.exec, cfg_.sink,
+                       [&](std::size_t slot, PointReport rep) {
+            PointAnswer answer;
+            answer.status = rep.status;
+            if (rep.status == Provenance::kQuarantined)
+                answer.error = rep.failure_reason();
+            else
+                answer.result = std::move(rep.result);
+            finish_point(keys[slot], std::move(answer), answers[slot]);
+            done[slot] = 1;
 
             TraceEvent ev{};
             ev.kind = EventKind::kServeExec;
             ev.node = static_cast<NodeId>(slot);
             ev.a = rep.attempts;
-            ev.b = ok ? 0 : 1;
+            ev.b = rep.status == Provenance::kQuarantined ? 1 : 0;
             emit(ev);
         });
     } catch (const std::exception &e) {
         // Supervisor-side failure (unrunnable worker, unwritable
         // scratch, ...): quarantine whatever did not finish so the
         // claimed keys are released and the client gets a reason.
-        for (std::size_t q = 0; q < pending.size(); ++q) {
-            if (done[q] == 0) {
-                finish_point(keys[pending[q]], pending[q], false, {},
-                             std::string("executor failed: ") + e.what(),
-                             answers);
+        for (const std::size_t slot : pending) {
+            if (done[slot] == 0) {
+                PointAnswer answer;
+                answer.error = std::string("executor failed: ") + e.what();
+                finish_point(keys[slot], std::move(answer), answers[slot]);
             }
         }
     }
 }
 
 void
-ServeServer::finish_point(std::uint64_t key, std::size_t answer_index,
-                          bool ok, const std::vector<std::uint8_t> &payload,
-                          const std::string &error,
-                          std::vector<PointAnswer> &answers)
+ServeServer::finish_point(std::uint64_t key, PointAnswer answer,
+                          PointAnswer &out)
 {
     std::size_t live_entries = 0;
     std::uint64_t evicted_delta = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (ok) {
-            answers[answer_index].status = PointAnswer::Status::kMiss;
-            answers[answer_index].result_payload = payload;
+        if (answer.status != Provenance::kQuarantined) {
             const std::uint64_t evicted_before = cache_->evicted();
             try {
                 // Inserted (and flushed) the moment the point finishes:
                 // a daemon killed right after this loses nothing.
-                cache_->insert(key, payload);
+                store_result(*cache_, key, answer.result);
             } catch (const ckpt::CkptError &) {
                 // Disk trouble degrades durability, never the answer.
             }
             evicted_delta = cache_->evicted() - evicted_before;
             live_entries = cache_->entries();
-        } else {
-            // Never cached: the next request re-executes the point.
-            answers[answer_index].status = PointAnswer::Status::kQuarantined;
-            answers[answer_index].error = error;
         }
+        // A quarantined point is never cached: the next request
+        // re-executes it.
+        out = std::move(answer);
         inflight_.erase(key);
     }
     // Waiters re-check the cache (hit) or re-claim (quarantined key).

@@ -7,12 +7,13 @@
  * sealed point-spec images (exec/point_codec.h); every point is keyed
  * by its 64-bit "PNT1" identity hash and answered from the persistent
  * result cache (serve/cache.h) when possible. Misses execute through
- * the per-point path of exec/sweep.h — in-process by default, or in a
- * supervised catnap_sim worker subprocess (ProcRunner, with its
- * retry/backoff and quarantine semantics) under
- * ServeExecPolicy::isolate. Each point is its own pool job and lands in
- * the cache the moment it completes, in either mode, so a daemon killed
- * mid-sweep loses only the points in flight.
+ * execute_points() of exec/sweep.h, the executor run_sweep() uses —
+ * in-process by default, or in a supervised catnap_sim worker
+ * subprocess (ProcRunner, with its retry/backoff and quarantine
+ * semantics) when ServeConfig::exec.isolate is set. Each point is its
+ * own pool job and lands in the cache the moment it completes, in
+ * either mode, so a daemon killed mid-sweep loses only the points in
+ * flight.
  *
  * Concurrency contract:
  *   - one handler thread per connection; the cache, statistics, and
@@ -41,7 +42,7 @@
 #include <thread>
 #include <vector>
 
-#include "exec/sweep_runner.h"
+#include "exec/sweep.h"
 #include "obs/event.h"
 #include "serve/cache.h"
 #include "serve/frame.h"
@@ -52,30 +53,6 @@ namespace serve {
 /** Cap on points per sweep request (bounds per-request allocation). */
 constexpr std::size_t kMaxPointsPerRequest = 4096;
 
-/** How cache misses are executed. */
-struct ServeExecPolicy
-{
-    /** Worker threads for miss execution; 0 = one per core. */
-    int jobs = 0;
-
-    /** Execute misses in supervised catnap_sim worker subprocesses
-     * (exec/proc_runner.h) instead of in-process threads: crash
-     * containment plus per-point retry/backoff and quarantine. */
-    bool isolate = false;
-
-    /** Worker executable for isolate mode. */
-    std::string worker;
-
-    /** Spec/result exchange directory for isolate mode. */
-    std::string scratch = ".catnap-serve-scratch";
-
-    /** Extra attempts before quarantine (isolate mode). */
-    int max_retries = 2;
-
-    /** Per-attempt wall budget in ms (isolate mode); 0 = unlimited. */
-    std::int64_t timeout_ms = 0;
-};
-
 /** Daemon-wide policy. */
 struct ServeConfig
 {
@@ -85,7 +62,10 @@ struct ServeConfig
     /** Result-cache backing file and bound (serve/cache.h). */
     CacheConfig cache;
 
-    ServeExecPolicy exec;
+    /** How misses execute: jobs, isolate, worker, scratch,
+     * point_retries and point_timeout_ms (execute_points()); serve,
+     * journal and resume are ignored. */
+    SweepOptions exec;
 
     /** When non-empty, the daemon rewrites this file with the stats
      * JSON after every request (and at shutdown), so the statistics
@@ -169,14 +149,9 @@ class ServeServer
   private:
     struct PointAnswer
     {
-        enum class Status : std::int8_t {
-            kHit = 0,
-            kMiss = 1,
-            kQuarantined = 2,
-        };
-        Status status = Status::kQuarantined;
-        std::vector<std::uint8_t> result_payload; ///< synth-result bytes
-        std::string error;                        ///< quarantine reason
+        Provenance status = Provenance::kQuarantined;
+        SyntheticResult result; ///< valid unless quarantined
+        std::string error;      ///< quarantine reason
     };
 
     void accept_loop();
@@ -188,10 +163,8 @@ class ServeServer
                         const std::vector<std::uint64_t> &keys,
                         const std::vector<std::size_t> &pending,
                         std::vector<PointAnswer> &answers);
-    void finish_point(std::uint64_t key, std::size_t answer_index,
-                      bool ok, const std::vector<std::uint8_t> &payload,
-                      const std::string &error,
-                      std::vector<PointAnswer> &answers);
+    void finish_point(std::uint64_t key, PointAnswer answer,
+                      PointAnswer &out);
     ServeStats stats_locked() const;
     void write_stats_file();
     void emit(TraceEvent ev);

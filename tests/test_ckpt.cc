@@ -692,7 +692,6 @@ TEST(CkptJournal, WriterAppendModePreservesExistingRecords)
     {
         ckpt::JournalWriter w(path, ckpt::JournalWriter::Mode::kTruncate);
         w.append(10, bytes_of("one"));
-        EXPECT_EQ(w.appended(), 1u);
     }
     {
         ckpt::JournalWriter w(path, ckpt::JournalWriter::Mode::kAppend);

@@ -2,7 +2,7 @@
  * @file
  * Tests for the execution engine (src/exec/): the thread pool's ordered
  * parallel map, the deterministic batch runner, and the crash-isolated
- * subprocess backend.
+ * subprocess backend with its journal.
  *
  * The load-bearing guarantee is pinned by ExecSweep.*: the parallel
  * sweep must be *byte-identical* to the serial loop for any --jobs
@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <initializer_list>
 #include <mutex>
@@ -27,6 +28,7 @@
 #include <sys/stat.h>
 
 #include "exec/proc_runner.h"
+#include "exec/sweep.h"
 #include "exec/sweep_runner.h"
 #include "exec/thread_pool.h"
 #include "obs/trace_buffer.h"
@@ -385,24 +387,25 @@ write_script(const std::string &path, const std::string &body)
     return path;
 }
 
-/** Per-point results of an ok() sweep, in item order. */
-std::vector<SyntheticResult>
-results_of(const ProcSweepResult &sweep)
-{
-    std::vector<SyntheticResult> out;
-    for (const PointReport &p : sweep.points)
-        out.push_back(p.result);
-    return out;
-}
-
-ProcOptions
+SweepOptions
 proc_options(const std::string &tag)
 {
-    ProcOptions po;
-    po.worker = CATNAP_SIM_PATH;
-    po.scratch_dir = ::testing::TempDir() + "catnap_proc_" + tag;
-    po.backoff_ms = 1; // keep retry tests fast
-    return po;
+    SweepOptions opts;
+    opts.isolate = true;
+    opts.worker = CATNAP_SIM_PATH;
+    opts.scratch = ::testing::TempDir() + "catnap_proc_" + tag;
+    return opts;
+}
+
+/** Lines in @p path (0 when it does not exist). */
+int
+count_lines(const std::string &path)
+{
+    std::ifstream in(path);
+    int n = 0;
+    for (std::string line; std::getline(in, line);)
+        ++n;
+    return n;
 }
 
 TEST(ExecProc, IsolatedSweepMatchesInProcessBitForBit)
@@ -410,34 +413,30 @@ TEST(ExecProc, IsolatedSweepMatchesInProcessBitForBit)
     const auto items = proc_items({0.02, 0.05});
     const std::vector<SyntheticResult> serial = run_batch(items);
 
-    ProcRunner runner(proc_options("bitident"));
-    const ProcSweepResult sweep = runner.run(items);
-    ASSERT_TRUE(sweep.ok());
-    EXPECT_EQ(sweep.completed, items.size());
-    EXPECT_EQ(sweep.spawned, items.size());
+    const SweepOutcome sweep = run_sweep(items, proc_options("bitident"));
+    ASSERT_EQ(sweep.exit_code, 0) << sweep.fatal;
+    EXPECT_EQ(sweep.executed, items.size());
     EXPECT_EQ(sweep.from_journal, 0u);
-    EXPECT_EQ(to_csv(results_of(sweep)), to_csv(serial));
+    EXPECT_EQ(to_csv(sweep.results), to_csv(serial));
 }
 
 TEST(ExecProc, ResumeReplaysJournalWithoutSpawning)
 {
     const auto items = proc_items({0.02, 0.05});
-    ProcOptions po = proc_options("resume");
-    po.journal = po.scratch_dir + "/sweep.journal";
+    SweepOptions opts = proc_options("resume");
+    opts.journal = opts.scratch + "/sweep.journal";
 
-    ProcRunner first(po);
-    const ProcSweepResult fresh = first.run(items);
-    ASSERT_TRUE(fresh.ok());
-    EXPECT_EQ(fresh.spawned, items.size());
+    const SweepOutcome fresh = run_sweep(items, opts);
+    ASSERT_EQ(fresh.exit_code, 0) << fresh.fatal;
+    EXPECT_EQ(fresh.executed, items.size());
 
-    po.resume = true;
-    po.worker = "/nonexistent/worker"; // must never be needed
-    ProcRunner second(po);
-    const ProcSweepResult resumed = second.run(items);
-    ASSERT_TRUE(resumed.ok());
-    EXPECT_EQ(resumed.spawned, 0u);
+    opts.resume = true;
+    opts.worker = "/nonexistent/worker"; // must never be needed
+    const SweepOutcome resumed = run_sweep(items, opts);
+    ASSERT_EQ(resumed.exit_code, 0) << resumed.fatal;
+    EXPECT_EQ(resumed.executed, 0u);
     EXPECT_EQ(resumed.from_journal, items.size());
-    EXPECT_EQ(to_csv(results_of(resumed)), to_csv(results_of(fresh)));
+    EXPECT_EQ(to_csv(resumed.results), to_csv(fresh.results));
 }
 
 TEST(ExecProc, PartialJournalResumesOnlyMissingPoints)
@@ -447,36 +446,30 @@ TEST(ExecProc, PartialJournalResumesOnlyMissingPoints)
     // equal an uninterrupted in-process run of all three.
     const auto two = proc_items({0.02, 0.05});
     const auto three = proc_items({0.02, 0.05, 0.08});
-    ProcOptions po = proc_options("partial");
-    po.journal = po.scratch_dir + "/sweep.journal";
+    SweepOptions opts = proc_options("partial");
+    opts.journal = opts.scratch + "/sweep.journal";
+    ASSERT_EQ(run_sweep(two, opts).exit_code, 0);
 
-    ProcRunner first(po);
-    ASSERT_TRUE(first.run(two).ok());
-
-    po.resume = true;
-    ProcRunner second(po);
-    const ProcSweepResult resumed = second.run(three);
-    ASSERT_TRUE(resumed.ok());
+    opts.resume = true;
+    const SweepOutcome resumed = run_sweep(three, opts);
+    ASSERT_EQ(resumed.exit_code, 0) << resumed.fatal;
     EXPECT_EQ(resumed.from_journal, 2u);
-    EXPECT_EQ(resumed.spawned, 1u);
-    EXPECT_EQ(to_csv(results_of(resumed)), to_csv(run_batch(three)));
+    EXPECT_EQ(resumed.executed, 1u);
+    EXPECT_EQ(resumed.provenance[2], Provenance::kExecuted);
+    EXPECT_EQ(to_csv(resumed.results), to_csv(run_batch(three)));
 }
 
 TEST(ExecProc, CrashingWorkerIsQuarantinedAndClassified)
 {
-    ProcOptions po = proc_options("exit3");
-    po.worker = write_script(po.scratch_dir + "_worker.sh", "exit 3");
-    po.max_retries = 2;
+    SweepOptions opts = proc_options("exit3");
+    opts.worker = write_script(opts.scratch + "_worker.sh", "exit 3");
+    opts.point_retries = 2;
 
     EventTrace trace(1024);
-    po.sink = &trace;
-    ProcRunner runner(po);
-    const ProcSweepResult sweep = runner.run(proc_items({0.02}));
-    EXPECT_FALSE(sweep.ok());
-    EXPECT_EQ(sweep.quarantined, 1u);
-    const PointReport &rep = sweep.points[0];
-    EXPECT_EQ(rep.status, PointStatus::kQuarantined);
-    EXPECT_EQ(rep.attempts, 3); // 1 + max_retries
+    ProcRunner runner(opts, &trace);
+    const PointReport rep = runner.run_one(0, proc_items({0.02})[0]);
+    EXPECT_EQ(rep.status, Provenance::kQuarantined);
+    EXPECT_EQ(rep.attempts, 3); // 1 + point_retries
     ASSERT_EQ(rep.failures.size(), 3u);
     for (const PointFailure &f : rep.failures) {
         EXPECT_EQ(f.kind, PointFailKind::kExit);
@@ -500,33 +493,32 @@ TEST(ExecProc, CrashingWorkerIsQuarantinedAndClassified)
 
 TEST(ExecProc, SignalDeathIsClassifiedAsSignal)
 {
-    ProcOptions po = proc_options("sig");
-    po.worker = write_script(po.scratch_dir + "_worker.sh",
-                             "kill -KILL $$");
-    po.max_retries = 0;
-    ProcRunner runner(po);
-    const ProcSweepResult sweep = runner.run(proc_items({0.02}));
-    ASSERT_EQ(sweep.quarantined, 1u);
-    ASSERT_EQ(sweep.points[0].failures.size(), 1u);
-    EXPECT_EQ(sweep.points[0].failures[0].kind, PointFailKind::kSignal);
-    EXPECT_EQ(sweep.points[0].failures[0].detail, SIGKILL);
+    SweepOptions opts = proc_options("sig");
+    opts.worker = write_script(opts.scratch + "_worker.sh", "kill -KILL $$");
+    opts.point_retries = 0;
+    ProcRunner runner(opts, nullptr);
+    const PointReport rep = runner.run_one(0, proc_items({0.02})[0]);
+    EXPECT_EQ(rep.status, Provenance::kQuarantined);
+    ASSERT_EQ(rep.failures.size(), 1u);
+    EXPECT_EQ(rep.failures[0].kind, PointFailKind::kSignal);
+    EXPECT_EQ(rep.failures[0].detail, SIGKILL);
 }
 
 TEST(ExecProc, WatchdogKillsHungWorker)
 {
-    ProcOptions po = proc_options("hang");
+    SweepOptions opts = proc_options("hang");
     // `exec`: the watchdog kills only the process it spawned, so a
     // child sleep would outlive it and hold the test's output open.
-    po.worker = write_script(po.scratch_dir + "_worker.sh", "exec sleep 30");
-    po.max_retries = 0;
-    po.timeout_ms = 200;
-    ProcRunner runner(po);
+    opts.worker = write_script(opts.scratch + "_worker.sh", "exec sleep 30");
+    opts.point_retries = 0;
+    opts.point_timeout_ms = 200;
+    ProcRunner runner(opts, nullptr);
     const auto t0 = std::chrono::steady_clock::now();
-    const ProcSweepResult sweep = runner.run(proc_items({0.02}));
+    const PointReport rep = runner.run_one(0, proc_items({0.02})[0]);
     const auto elapsed = std::chrono::steady_clock::now() - t0;
-    ASSERT_EQ(sweep.quarantined, 1u);
-    ASSERT_EQ(sweep.points[0].failures.size(), 1u);
-    EXPECT_EQ(sweep.points[0].failures[0].kind, PointFailKind::kTimeout);
+    EXPECT_EQ(rep.status, Provenance::kQuarantined);
+    ASSERT_EQ(rep.failures.size(), 1u);
+    EXPECT_EQ(rep.failures[0].kind, PointFailKind::kTimeout);
     // SIGKILLed at the budget, not after sleep(30) finished.
     EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed)
                   .count(),
@@ -537,32 +529,34 @@ TEST(ExecProc, CorruptResultImageIsClassifiedBadResult)
 {
     // Worker exits 0 but writes garbage: the sealed-container check
     // must reject it rather than merge undefined bytes.
-    ProcOptions po = proc_options("garbage");
-    po.worker = write_script(po.scratch_dir + "_worker.sh",
-                             "printf 'not a result image' > \"$4\"");
-    po.max_retries = 0;
-    ProcRunner runner(po);
-    const ProcSweepResult sweep = runner.run(proc_items({0.02}));
-    ASSERT_EQ(sweep.quarantined, 1u);
-    ASSERT_EQ(sweep.points[0].failures.size(), 1u);
-    EXPECT_EQ(sweep.points[0].failures[0].kind,
-              PointFailKind::kBadResult);
+    SweepOptions opts = proc_options("garbage");
+    opts.worker = write_script(opts.scratch + "_worker.sh",
+                               "printf 'not a result image' > \"$4\"");
+    opts.point_retries = 0;
+    ProcRunner runner(opts, nullptr);
+    const PointReport rep = runner.run_one(0, proc_items({0.02})[0]);
+    EXPECT_EQ(rep.status, Provenance::kQuarantined);
+    ASSERT_EQ(rep.failures.size(), 1u);
+    EXPECT_EQ(rep.failures[0].kind, PointFailKind::kBadResult);
 }
 
-TEST(ExecProc, QuarantineDoesNotStopOtherPoints)
+TEST(ExecProc, DuplicatePointsRunOnce)
 {
-    // One poisoned point (bad worker) must not block healthy ones —
-    // here every point shares the bad worker except none succeed, so
-    // instead verify the complement: a healthy sweep with a duplicate
-    // point runs the duplicate once and shares the result.
-    auto items = proc_items({0.02, 0.02, 0.05});
-    ProcRunner runner(proc_options("dedupe"));
-    const ProcSweepResult sweep = runner.run(items);
-    ASSERT_TRUE(sweep.ok());
-    EXPECT_EQ(sweep.spawned, 2u); // duplicate key spawned once
-    EXPECT_EQ(sweep.completed, 3u);
-    EXPECT_EQ(to_csv({sweep.points[0].result}),
-              to_csv({sweep.points[1].result}));
+    // Two copies of one point spawn one worker and share its result
+    // and provenance; the wrapper worker counts its own spawns.
+    SweepOptions opts = proc_options("dedupe");
+    const std::string count = opts.scratch + "_spawns";
+    std::remove(count.c_str());
+    opts.worker = write_script(opts.scratch + "_worker.sh",
+                               "echo x >> " + count + "; exec " +
+                                   CATNAP_SIM_PATH + " \"$@\"");
+    const auto items = proc_items({0.02, 0.02, 0.05});
+    const SweepOutcome sweep = run_sweep(items, opts);
+    ASSERT_EQ(sweep.exit_code, 0) << sweep.fatal;
+    EXPECT_EQ(count_lines(count), 2); // duplicate key spawned once
+    EXPECT_EQ(sweep.executed, 3u);
+    EXPECT_EQ(sweep.provenance[1], Provenance::kExecuted);
+    EXPECT_EQ(to_csv(sweep.results), to_csv(run_batch(items)));
 }
 
 } // namespace

@@ -19,7 +19,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -57,7 +56,6 @@ using serve::parse_json;
 using serve::ResultCache;
 using serve::ServeClientOptions;
 using serve::ServeConfig;
-using serve::ServedStatus;
 using serve::ServedSweep;
 using serve::ServeError;
 using serve::ServeRequest;
@@ -516,6 +514,35 @@ TEST(ServeServer, RestartRebuildsFromTornCacheAndServesHits)
     second.stop();
 }
 
+TEST(ServeServer, CachedRecordThatDoesNotDecodeExactlyIsReExecuted)
+{
+    // A record whose CRC holds but whose payload carries one byte more
+    // than a SyntheticResult is not that point's result: the daemon
+    // must run the point instead of serving the record as a hit.
+    const std::string dir = fresh_dir("exact");
+    const ServeConfig cfg = server_config(dir);
+    const auto items = serve_items({0.02});
+    {
+        ckpt::Writer w;
+        put_synth_result(w, run_batch(items)[0]);
+        std::vector<std::uint8_t> payload = w.bytes();
+        payload.push_back(0);
+        ckpt::JournalWriter(cfg.cache.path,
+                            ckpt::JournalWriter::Mode::kTruncate)
+            .append(point_hash(items[0]), payload);
+    }
+    ServeServer server(cfg);
+    server.start();
+    const ServedSweep got =
+        serve::run_batch_served(items, client_options(cfg));
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.misses, 1u);
+    EXPECT_EQ(got.hits, 0u);
+    EXPECT_EQ(server.stats().executed, 1u);
+    EXPECT_EQ(to_csv(got.results), to_csv(run_batch(items)));
+    server.stop();
+}
+
 TEST(ServeServer, ConcurrentClientsSingleFlightEachPointOnce)
 {
     const std::string dir = fresh_dir("flight");
@@ -583,7 +610,7 @@ TEST(ServeServer, QuarantinedPointsAreNeverCached)
     cfg.exec.isolate = true;
     cfg.exec.worker = worker;
     cfg.exec.scratch = dir + "/scratch";
-    cfg.exec.max_retries = 0;
+    cfg.exec.point_retries = 0;
     ServeServer server(cfg);
     server.start();
 
@@ -592,7 +619,7 @@ TEST(ServeServer, QuarantinedPointsAreNeverCached)
         serve::run_batch_served(items, client_options(cfg));
     EXPECT_EQ(first.quarantined, items.size());
     EXPECT_FALSE(first.ok());
-    EXPECT_EQ(first.statuses[0], serve::ServedStatus::kQuarantined);
+    EXPECT_EQ(first.provenance[0], Provenance::kQuarantined);
     EXPECT_NE(first.errors[0].find("exit code 1"), std::string::npos);
 
     // Nothing was cached, so a second request re-attempts (and fails
@@ -632,9 +659,7 @@ TEST(ServeServer, IsolatedMissIsCachedBeforeItsSiblingsFinish)
     // served to a second client as a hit — while it is still stalled.
     const std::string dir = fresh_dir("durable");
     const auto items = serve_items({0.02, 0.05});
-    char key[17];
-    std::snprintf(key, sizeof key, "%016llx",
-                  static_cast<unsigned long long>(point_hash(items[1])));
+    const std::string key = key_hex(point_hash(items[1]));
     const std::string release = dir + "/release";
     const std::string worker = dir + "/worker.sh";
     {

@@ -10,6 +10,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -180,6 +181,32 @@ TEST(SweepBackend, IsolateMatchesLocalAndResumesFromTheJournal)
     EXPECT_EQ(resumed.from_journal, items.size());
     EXPECT_EQ(resumed.provenance[1], Provenance::kFromJournal);
     EXPECT_EQ(to_csv(resumed.results), to_csv(fresh.results));
+}
+
+TEST(SweepBackend, TornJournalTailStaysResumable)
+{
+    // A supervisor killed mid-append leaves a torn record. The resume
+    // after it re-runs that point, and the one after that must find
+    // every point intact instead of stranding new records behind the
+    // torn bytes.
+    const auto three = sweep_items({0.02, 0.05, 0.08});
+    SweepOptions opts = isolated("torn");
+    opts.journal = opts.scratch + "/sweep.journal";
+    ASSERT_EQ(run_sweep(sweep_items({0.02, 0.05}), opts).exit_code, 0);
+    std::filesystem::resize_file(
+        opts.journal, std::filesystem::file_size(opts.journal) - 5);
+
+    opts.resume = true;
+    const SweepOutcome first = run_sweep(three, opts);
+    ASSERT_EQ(first.exit_code, 0) << first.fatal;
+    EXPECT_EQ(first.from_journal, 1u);
+    EXPECT_EQ(first.executed, 2u);
+
+    opts.worker = "/nonexistent/worker"; // must never be needed
+    const SweepOutcome second = run_sweep(three, opts);
+    ASSERT_EQ(second.exit_code, 0) << second.fatal;
+    EXPECT_EQ(second.from_journal, 3u);
+    EXPECT_EQ(to_csv(second.results), to_csv(run_batch(three)));
 }
 
 TEST(SweepBackend, QuarantineExitsFourWithADeterministicSummary)

@@ -85,13 +85,12 @@ int
 main(int argc, char **argv)
 {
     serve::ServeConfig cfg;
-    SweepOptions exec;
     std::string trace_out;
     std::size_t trace_capacity = EventTrace::kDefaultCapacity;
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        if (parse_sweep_flag(argc, argv, i, kDaemonSweepFlags, exec))
+        if (parse_sweep_flag(argc, argv, i, kDaemonSweepFlags, cfg.exec))
             continue;
         if (a == "--help" || a == "-h") usage(0);
         else if (a == "--socket")
@@ -117,17 +116,9 @@ main(int argc, char **argv)
         std::fprintf(stderr, "--socket PATH is required\n");
         usage(kExitUsage);
     }
-    check_sweep_options(exec);
-    cfg.exec.jobs = exec.jobs;
-    cfg.exec.isolate = exec.isolate;
-    if (exec.isolate) {
-        cfg.exec.worker =
-            exec.worker.empty() ? default_worker_path() : exec.worker;
-    }
-    if (!exec.scratch.empty())
-        cfg.exec.scratch = exec.scratch;
-    cfg.exec.timeout_ms = exec.point_timeout_ms;
-    cfg.exec.max_retries = exec.point_retries;
+    check_sweep_options(cfg.exec);
+    if (cfg.exec.scratch.empty())
+        cfg.exec.scratch = ".catnap-serve-scratch";
 
     std::unique_ptr<EventTrace> trace;
     if (!trace_out.empty()) {
