@@ -7,7 +7,7 @@
  *
  * Every harness accepts --jobs N and --csv FILE. Harnesses whose points
  * are RunItems also take the sweep backend flags of exec/sweep.h
- * (--isolate, --serve, ...) and run through run_sweep(); the load-grid
+ * (--isolate, --journal, ...) and run through run_sweep(); the load-grid
  * harnesses add --fork-warmup. Any other option is a usage error.
  *
  * Results are bit-identical for every --jobs value and backend: points

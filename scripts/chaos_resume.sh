@@ -4,9 +4,10 @@
 # then SIGKILL the supervisor itself mid-sweep, resume from the journal,
 # and require the merged CSV to be bit-for-bit identical to an
 # uninterrupted serial in-process run. Then tear the journal's tail and
-# require the second resume after it to replay every point. A last leg
-# checks that permanent failures produce a deterministic quarantine
-# report.
+# require the second resume after it to replay every point, and require
+# an in-process --jobs 4 sweep resumed from its own journal to replay
+# all 36 points without executing any. A last leg checks that permanent
+# failures produce a deterministic quarantine report.
 #
 # Usage: scripts/chaos_resume.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -92,13 +93,26 @@ for pass in 1 2; do
     > /dev/null 2> "$WORK/torn$pass.stderr"
   grep '^\[isolate\]' "$WORK/torn$pass.stderr"
 done
-grep -q 'hit(s), 0 executed, 36 point(s) from journal' "$WORK/torn2.stderr" ||
+grep -q '\] 0 executed, 36 point(s) from journal' "$WORK/torn2.stderr" ||
   { echo "error: second resume after a torn tail re-ran points" >&2; exit 1; }
 cmp "$WORK/baseline.csv" "$WORK/torn2.csv" ||
   { echo "error: CSV after a torn tail differs from the baseline" >&2; exit 1; }
 echo "second resume after a torn tail replays every point bit-for-bit"
 
-echo "== leg 5: quarantine report is deterministic =="
+echo "== leg 5: an in-process journal serves a warm rerun =="
+"$FIG10" --jobs 4 --journal "$WORK/local.journal" --csv "$WORK/cold.csv" \
+  > /dev/null
+"$FIG10" --jobs 4 --journal "$WORK/local.journal" --resume \
+  --csv "$WORK/warm.csv" > /dev/null 2> "$WORK/warm.stderr"
+grep '^\[local\]' "$WORK/warm.stderr"
+grep -qF '[local] 0 executed, 36 point(s) from journal' "$WORK/warm.stderr" ||
+  { echo "error: warm rerun executed points" >&2; exit 1; }
+cmp "$WORK/baseline.csv" "$WORK/cold.csv" &&
+  cmp "$WORK/baseline.csv" "$WORK/warm.csv" ||
+  { echo "error: journalled fig10 CSV differs from the baseline" >&2; exit 1; }
+echo "warm rerun replays all 36 points bit-for-bit, executing none"
+
+echo "== leg 6: quarantine report is deterministic =="
 QARGS=(--subnets 2 --gating catnap --loads 0.05,0.10 --warmup 200
        --measure 600 --isolate --worker /bin/false
        --scratch "$WORK/qscratch" --point-retries 1)

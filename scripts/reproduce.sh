@@ -61,37 +61,30 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" 2>&1 |
       [ "$ms" -gt 0 ] && cps=$((sim_cycles * 1000 / ms))
       warm_frac=$(awk -v w="$warmup" -v m="$measure" \
                   'BEGIN { printf "%.4f", w / (w + m) }')
-      # Serve leg (DESIGN.md §17): the same sweep through catnap_serve,
-      # cold (cache empty, every point executed by the daemon) then
-      # warm (every point a cache hit, zero executed). Both CSVs must
-      # be bit-identical to the in-process run; the cold/warm wall
-      # clocks land in BENCH_fig10.json as the service's amortisation
-      # record.
-      SWORK="$(mktemp -d serve_repro.XXXXXX)"
-      build/tools/catnap_serve --socket "$SWORK/s.sock" \
-        --cache "$SWORK/cache.bin" --jobs "$JOBS" \
-        2> "$SWORK/daemon.log" &
-      SERVE_PID=$!
-      "$b" --jobs 1 --csv "$SWORK/serial.csv" > /dev/null
+      # Warm-journal leg (DESIGN.md §15): the same sweep with a
+      # --journal, cold (every point executed and stored) then warm
+      # (--resume: every point replayed, none executed). Both CSVs must
+      # be bit-identical to the serial in-process run.
+      JWORK="$(mktemp -d journal_repro.XXXXXX)"
+      "$b" --jobs 1 --csv "$JWORK/serial.csv" > /dev/null
       s0=$(date +%s%N)
-      "$b" --serve "$SWORK/s.sock" --csv "$SWORK/cold.csv" > /dev/null
+      "$b" --jobs "$JOBS" --journal "$JWORK/fig10.journal" \
+        --csv "$JWORK/cold.csv" > /dev/null
       s1=$(date +%s%N)
-      "$b" --serve "$SWORK/s.sock" --csv "$SWORK/warm.csv" > /dev/null
+      "$b" --jobs "$JOBS" --journal "$JWORK/fig10.journal" --resume \
+        --csv "$JWORK/warm.csv" > /dev/null
       s2=$(date +%s%N)
-      cmp "$SWORK/serial.csv" "$SWORK/cold.csv" &&
-        cmp "$SWORK/serial.csv" "$SWORK/warm.csv" || {
-        echo "ERROR: served fig10 CSV differs from the in-process run" >&2
+      cmp "$JWORK/serial.csv" "$JWORK/cold.csv" &&
+        cmp "$JWORK/serial.csv" "$JWORK/warm.csv" || {
+        echo "ERROR: journalled fig10 CSV differs from the in-process run" >&2
         exit 1
       }
-      kill "$SERVE_PID" 2>/dev/null && wait "$SERVE_PID" 2>/dev/null || true
-      serve_cold_ms=$(((s1 - s0) / 1000000))
-      serve_warm_ms=$(((s2 - s1) / 1000000))
-      rm -rf "$SWORK"
-      echo "[serve] fig10 via catnap_serve: cold ${serve_cold_ms} ms," \
-           "warm ${serve_warm_ms} ms (CSVs bit-identical)"
-      printf '{\n  "bench": "fig10_synthetic_sweep",\n  "jobs": %s,\n  "points": %s,\n  "warmup_cycles_per_point": %s,\n  "measure_cycles_per_point": %s,\n  "warmup_fraction_of_point": %s,\n  "simulated_cycles_excl_drain": %s,\n  "wall_clock_ms": %s,\n  "cycles_per_sec": %s,\n  "serve_cold_wall_clock_ms": %s,\n  "serve_warm_wall_clock_ms": %s\n}\n' \
+      rm -rf "$JWORK"
+      echo "[journal] cold $(((s1 - s0) / 1000000)) ms," \
+           "warm $(((s2 - s1) / 1000000)) ms (CSVs bit-identical)"
+      printf '{\n  "bench": "fig10_synthetic_sweep",\n  "jobs": %s,\n  "points": %s,\n  "warmup_cycles_per_point": %s,\n  "measure_cycles_per_point": %s,\n  "warmup_fraction_of_point": %s,\n  "simulated_cycles_excl_drain": %s,\n  "wall_clock_ms": %s,\n  "cycles_per_sec": %s\n}\n' \
         "$JOBS" "$points" "$warmup" "$measure" "$warm_frac" \
-        "$sim_cycles" "$ms" "$cps" "$serve_cold_ms" "$serve_warm_ms" \
+        "$sim_cycles" "$ms" "$cps" \
         > results/BENCH_fig10.json || {
         echo "ERROR: failed to write results/BENCH_fig10.json" >&2
         exit 1

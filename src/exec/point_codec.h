@@ -54,7 +54,7 @@ void put_synthetic_config(ckpt::Writer &w, const SyntheticConfig &t);
 SyntheticConfig take_synthetic_config(ckpt::Reader &r);
 
 /** Appends RunParams (observability hooks excluded: a worker always
- * runs unobserved; the supervisor owns host-side tracing). */
+ * runs unobserved, since tracing records one run, not a sweep). */
 void put_run_params(ckpt::Writer &w, const RunParams &p);
 
 /** Consumes RunParams written by put_run_params (sink/snapshots null). */

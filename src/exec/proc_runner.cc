@@ -35,26 +35,19 @@ constexpr std::int64_t kBackoffCapMs = 10000;
 /** Scratch directory of an isolated sweep that names none. */
 constexpr const char *kDefaultScratch = ".catnap-scratch";
 
-/** Microseconds on the host's monotonic clock. Host-side observability
- * only (see tools/lint host-clock exemption for src/exec/). */
+/** Milliseconds on the host's monotonic clock, for the watchdog (see
+ * the tools/lint host-clock exemption for src/exec/). */
 std::int64_t
-now_us()
+now_ms()
 {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
 }
 
-std::int64_t
-now_ms()
-{
-    return now_us() / 1000;
-}
-
 } // namespace
 
-ProcRunner::ProcRunner(const SweepOptions &opts, EventSink *sink)
-    : opts_(opts), sink_(sink), epoch_us_(now_us())
+ProcRunner::ProcRunner(const SweepOptions &opts) : opts_(opts)
 {
     if (opts_.worker.empty())
         opts_.worker = default_worker_path();
@@ -68,20 +61,8 @@ ProcRunner::ProcRunner(const SweepOptions &opts, EventSink *sink)
     }
 }
 
-void
-ProcRunner::emit(TraceEvent ev)
-{
-    if (sink_ == nullptr)
-        return;
-    ev.cycle = static_cast<Cycle>(now_us() - epoch_us_);
-    // Supervising threads emit concurrently; the sink sees one event
-    // at a time.
-    std::lock_guard<std::mutex> lock(sink_mutex_);
-    sink_->on_event(ev);
-}
-
 PointReport
-ProcRunner::run_one(std::size_t index, const RunItem &item)
+ProcRunner::run_one(const RunItem &item)
 {
     PointReport rep;
     const std::string base =
@@ -97,12 +78,6 @@ ProcRunner::run_one(std::size_t index, const RunItem &item)
             const int shift = attempt - 2 < 20 ? attempt - 2 : 20;
             const std::int64_t delay =
                 std::min<std::int64_t>(kBackoffMs << shift, kBackoffCapMs);
-            TraceEvent ev;
-            ev.kind = EventKind::kProcRetry;
-            ev.node = static_cast<NodeId>(index);
-            ev.a = attempt;
-            ev.b = static_cast<std::int32_t>(delay);
-            emit(ev);
             std::this_thread::sleep_for(std::chrono::milliseconds(delay));
         }
 
@@ -122,14 +97,6 @@ ProcRunner::run_one(std::size_t index, const RunItem &item)
                                      "': " + std::strerror(spawn_err));
         }
         ++rep.attempts;
-        {
-            TraceEvent ev;
-            ev.kind = EventKind::kProcSpawn;
-            ev.node = static_cast<NodeId>(index);
-            ev.a = attempt;
-            ev.b = static_cast<std::int32_t>(pid);
-            emit(ev);
-        }
 
         const std::int64_t deadline =
             opts_.point_timeout_ms > 0 ? now_ms() + opts_.point_timeout_ms
@@ -173,12 +140,6 @@ ProcRunner::run_one(std::size_t index, const RunItem &item)
                         decode_point_result(item,
                                             ckpt::read_file(out_path));
                     rep.status = Provenance::kExecuted;
-                    TraceEvent ev;
-                    ev.kind = EventKind::kProcExit;
-                    ev.node = static_cast<NodeId>(index);
-                    ev.a = attempt;
-                    ev.b = static_cast<std::int32_t>(PointFailKind::kNone);
-                    emit(ev);
                     ::unlink(spec_path.c_str());
                     ::unlink(out_path.c_str());
                     return rep;
@@ -204,23 +165,8 @@ ProcRunner::run_one(std::size_t index, const RunItem &item)
                            std::to_string(status);
         }
 
-        {
-            TraceEvent ev;
-            ev.kind = EventKind::kProcExit;
-            ev.node = static_cast<NodeId>(index);
-            ev.a = attempt;
-            ev.b = static_cast<std::int32_t>(fail.kind);
-            ev.pkt = static_cast<PacketId>(fail.detail);
-            emit(ev);
-        }
         rep.failures.push_back(std::move(fail));
     }
-
-    TraceEvent ev;
-    ev.kind = EventKind::kProcQuarantine;
-    ev.node = static_cast<NodeId>(index);
-    ev.a = rep.attempts;
-    emit(ev);
     return rep;
 }
 

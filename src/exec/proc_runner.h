@@ -33,11 +33,7 @@
 #ifndef CATNAP_EXEC_PROC_RUNNER_H
 #define CATNAP_EXEC_PROC_RUNNER_H
 
-#include <cstdint>
-#include <mutex>
-
 #include "exec/sweep.h"
-#include "obs/event.h"
 
 namespace catnap {
 
@@ -53,30 +49,23 @@ class ProcRunner
      * Takes the worker, scratch, point_retries and point_timeout_ms of
      * @p opts (an empty worker or scratch takes its default) and
      * creates the scratch directory, throwing std::runtime_error when
-     * it cannot. @p sink receives proc.* worker-lifecycle events (host
-     * wall-clock timestamps, serialized; null disables).
+     * it cannot.
      */
-    ProcRunner(const SweepOptions &opts, EventSink *sink);
+    explicit ProcRunner(const SweepOptions &opts);
 
     ProcRunner(const ProcRunner &) = delete;
     ProcRunner &operator=(const ProcRunner &) = delete;
 
     /**
-     * Runs one point through a supervised worker; @p index labels its
-     * trace events. Concurrent calls for distinct points are safe.
-     * Worker failures are classified and quarantined; only
-     * supervisor-side errors (an unspawnable worker, unwritable scratch
-     * files) throw.
+     * Runs one point through a supervised worker. Concurrent calls for
+     * distinct points are safe. Worker failures are classified and
+     * quarantined; only supervisor-side errors (an unspawnable worker,
+     * unwritable scratch files) throw.
      */
-    PointReport run_one(std::size_t index, const RunItem &item);
+    PointReport run_one(const RunItem &item);
 
   private:
-    void emit(TraceEvent ev);
-
     SweepOptions opts_;
-    EventSink *sink_ = nullptr;
-    std::mutex sink_mutex_;
-    std::int64_t epoch_us_ = 0; ///< construction, host microseconds
 };
 
 } // namespace catnap

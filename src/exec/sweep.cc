@@ -13,8 +13,7 @@
 
 #include "exec/point_codec.h"
 #include "exec/proc_runner.h"
-#include "serve/cache.h"
-#include "serve/client.h"
+#include "exec/result_cache.h"
 
 namespace catnap {
 
@@ -28,24 +27,23 @@ prog()
 }
 
 /** Opens @p opts' journal as a result cache, or returns null when the
- * sweep keeps none. Without --resume the sweep starts over, so an
- * existing file is deleted first. The parent directory is created, so
- * a journal may live in a scratch directory that does not exist yet. */
-std::unique_ptr<serve::ResultCache>
+ * sweep keeps none. Without --resume the sweep starts over, so the
+ * cache empties the file once it holds its lock. The parent directory
+ * is created, so a journal may live in a scratch directory that does
+ * not exist yet. */
+std::unique_ptr<ResultCache>
 open_journal(const SweepOptions &opts)
 {
     if (opts.journal.empty())
         return nullptr;
     std::error_code ec; // any failure here surfaces as the open's error
-    if (!opts.resume)
-        std::filesystem::remove(opts.journal, ec);
     const std::filesystem::path parent =
         std::filesystem::path(opts.journal).parent_path();
     if (!parent.empty())
         std::filesystem::create_directories(parent, ec);
-    serve::CacheConfig cc;
-    cc.path = opts.journal;
-    return std::make_unique<serve::ResultCache>(cc);
+    return std::make_unique<ResultCache>(
+        opts.journal, opts.resume ? ckpt::JournalWriter::Mode::kAppend
+                                  : ckpt::JournalWriter::Mode::kTruncate);
 }
 
 } // namespace
@@ -127,8 +125,6 @@ parse_sweep_flag(int argc, char **argv, int &i, unsigned accept,
     if ((accept & kJobsFlag) != 0 && a == "--jobs") {
         opts.jobs = static_cast<int>(
             parse_int("--jobs", need_value(argc, argv, i), 0, 4096));
-    } else if ((accept & kServeFlag) != 0 && a == "--serve") {
-        opts.serve = need_value(argc, argv, i);
     } else if (isolate_group && a == "--isolate") {
         opts.isolate = true;
     } else if (isolate_group && a == "--worker") {
@@ -181,19 +177,11 @@ sweep_flags_help(unsigned accept)
     if ((accept & kJournalFlags) != 0) {
         out += "  --journal FILE            append every finished point to a "
                "CRC-checked\n"
-               "                            journal (needs --isolate)\n"
+               "                            journal\n"
                "  --resume                  replay the journal's intact "
                "records, run only\n"
                "                            missing points (needs "
                "--journal)\n";
-    }
-    if ((accept & kServeFlag) != 0) {
-        out += "  --serve SOCKET            resolve every point against a "
-               "catnap_serve\n"
-               "                            daemon: cached points replay "
-               "bit-identically,\n"
-               "                            the rest execute daemon-side "
-               "(DESIGN.md §17)\n";
     }
     return out;
 }
@@ -204,21 +192,18 @@ check_sweep_options(const SweepOptions &opts, bool fork_warmup)
     const SweepOptions defaults;
     const bool worker_flags =
         !opts.worker.empty() || !opts.scratch.empty() ||
-        !opts.journal.empty() || opts.resume ||
         opts.point_timeout_ms != defaults.point_timeout_ms ||
         opts.point_retries != defaults.point_retries;
     const char *why = nullptr;
     if (opts.resume && opts.journal.empty()) {
         why = "--resume requires --journal FILE";
     } else if (worker_flags && !opts.isolate) {
-        why = "--worker, --scratch, --journal, --resume, --point-timeout "
-              "and --point-retries require --isolate";
-    } else if (opts.isolate && !opts.serve.empty()) {
-        why = "--serve and --isolate are mutually exclusive (the daemon "
-              "owns execution and persistence)";
-    } else if (fork_warmup && (opts.isolate || !opts.serve.empty())) {
-        why = "--fork-warmup excludes --isolate and --serve (a warm "
-              "in-process run cannot cross a process boundary)";
+        why = "--worker, --scratch, --point-timeout and --point-retries "
+              "require --isolate";
+    } else if (fork_warmup && (opts.isolate || !opts.journal.empty())) {
+        why = "--fork-warmup excludes --isolate and --journal (a warm "
+              "in-process fork is neither a worker nor a journalled "
+              "point)";
     }
     if (why != nullptr) {
         std::fprintf(stderr, "%s: %s\n", prog(), why);
@@ -258,21 +243,21 @@ PointReport::failure_reason() const
 void
 execute_points(const std::vector<RunItem> &items,
                const std::vector<std::size_t> &slots,
-               const SweepOptions &opts, EventSink *sink,
+               const SweepOptions &opts,
                const std::function<void(std::size_t, PointReport)> &done)
 {
     if (slots.empty())
         return;
     std::unique_ptr<ProcRunner> proc;
     if (opts.isolate)
-        proc = std::make_unique<ProcRunner>(opts, sink);
+        proc = std::make_unique<ProcRunner>(opts);
     ExecOptions eo;
     eo.jobs = opts.jobs;
     SweepRunner(eo).run_jobs(slots.size(), [&](std::size_t p) {
         const std::size_t slot = slots[p];
         const RunItem &item = items[slot];
         if (proc != nullptr) {
-            done(slot, proc->run_one(slot, item));
+            done(slot, proc->run_one(item));
             return;
         }
         PointReport rep;
@@ -293,11 +278,11 @@ execute_points(const std::vector<RunItem> &items,
 std::string
 SweepOutcome::status_line() const
 {
-    char buf[192];
+    char buf[160];
     std::snprintf(buf, sizeof buf,
-                  "[%s] %zu hit(s), %zu executed, %zu point(s) from "
-                  "journal, %zu quarantined\n",
-                  backend, hits, executed, from_journal, quarantined);
+                  "[%s] %zu executed, %zu point(s) from journal, %zu "
+                  "quarantined\n",
+                  backend, executed, from_journal, quarantined);
     return buf;
 }
 
@@ -306,9 +291,7 @@ run_sweep(const std::vector<RunItem> &items, const SweepOptions &opts)
 {
     const std::size_t n = items.size();
     SweepOutcome out;
-    out.backend = !opts.serve.empty() ? "serve"
-                  : opts.isolate      ? "isolate"
-                                      : "local";
+    out.backend = opts.isolate ? "isolate" : "local";
     out.results.resize(n);
     out.provenance.assign(n, Provenance::kQuarantined);
     std::vector<std::uint64_t> keys(n);
@@ -316,60 +299,47 @@ run_sweep(const std::vector<RunItem> &items, const SweepOptions &opts)
         keys[i] = point_hash(items[i]);
     std::vector<std::string> why(n);
     try {
-        if (!opts.serve.empty()) {
-            serve::ServeClientOptions copts;
-            copts.socket_path = opts.serve;
-            serve::ServedSweep sweep = serve::run_batch_served(items, copts);
-            out.results = std::move(sweep.results);
-            out.provenance = std::move(sweep.provenance);
-            why = std::move(sweep.errors);
-        } else {
-            // Identical points resolve once, through their first copy.
-            const std::unique_ptr<serve::ResultCache> journal =
-                open_journal(opts);
-            std::mutex journal_mutex;
-            std::map<std::uint64_t, std::size_t> first;
-            std::vector<std::size_t> misses;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (!first.emplace(keys[i], i).second)
-                    continue;
-                if (journal != nullptr &&
-                    serve::replay_result(*journal, keys[i], out.results[i]))
-                    out.provenance[i] = Provenance::kFromJournal;
-                else
-                    misses.push_back(i);
+        // Identical points resolve once, through their first copy.
+        const std::unique_ptr<ResultCache> journal = open_journal(opts);
+        std::mutex journal_mutex;
+        std::map<std::uint64_t, std::size_t> first;
+        std::vector<std::size_t> misses;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!first.emplace(keys[i], i).second)
+                continue;
+            if (journal != nullptr &&
+                replay_result(*journal, keys[i], out.results[i]))
+                out.provenance[i] = Provenance::kFromJournal;
+            else
+                misses.push_back(i);
+        }
+        execute_points(items, misses, opts,
+                       [&](std::size_t slot, PointReport rep) {
+            if (rep.status == Provenance::kQuarantined) {
+                why[slot] = rep.failure_reason();
+                return;
             }
-            execute_points(items, misses, opts, nullptr,
-                           [&](std::size_t slot, PointReport rep) {
-                if (rep.status == Provenance::kQuarantined) {
-                    why[slot] = rep.failure_reason();
-                    return;
-                }
-                if (journal != nullptr) {
-                    // Stored the moment the point finishes: a supervisor
-                    // killed right after this loses nothing.
-                    std::lock_guard<std::mutex> lock(journal_mutex);
-                    serve::store_result(*journal, keys[slot], rep.result);
-                }
-                out.provenance[slot] = rep.status;
-                out.results[slot] = std::move(rep.result);
-            });
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::size_t f = first.at(keys[i]);
-                if (f != i) {
-                    out.results[i] = out.results[f];
-                    out.provenance[i] = out.provenance[f];
-                    why[i] = why[f];
-                }
+            if (journal != nullptr) {
+                // Stored the moment the point finishes: a supervisor
+                // killed right after this loses nothing.
+                std::lock_guard<std::mutex> lock(journal_mutex);
+                store_result(*journal, keys[slot], rep.result);
+            }
+            out.provenance[slot] = rep.status;
+            out.results[slot] = std::move(rep.result);
+        });
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t f = first.at(keys[i]);
+            if (f != i) {
+                out.results[i] = out.results[f];
+                out.provenance[i] = out.provenance[f];
+                why[i] = why[f];
             }
         }
-    } catch (const serve::ServeError &e) {
-        out.exit_code = kExitServe;
-        out.fatal = e.what();
-        return out;
     } catch (const std::exception &e) {
         // Supervisor faults (unusable scratch dir, unspawnable worker,
-        // unwritable journal) — point failures quarantine instead.
+        // unwritable or locked journal) — point failures quarantine
+        // instead.
         out.exit_code = kExitRuntime;
         out.fatal = e.what();
         return out;
@@ -379,7 +349,6 @@ run_sweep(const std::vector<RunItem> &items, const SweepOptions &opts)
         switch (out.provenance[i]) {
           case Provenance::kExecuted:    ++out.executed;     break;
           case Provenance::kFromJournal: ++out.from_journal; break;
-          case Provenance::kCacheHit:    ++out.hits;         break;
           case Provenance::kQuarantined: ++out.quarantined;  break;
         }
     }

@@ -3,28 +3,25 @@
  * The one sweep-execution interface (DESIGN.md §12): the options every
  * sweeping binary shares, their strict command-line parser and
  * exclusion rules, the one miss executor, and run_sweep(), which
- * executes ordered RunItems on one of three backends and reports where
+ * executes ordered RunItems on one of two backends and reports where
  * every point came from:
  *
  *   local    the in-process thread pool (exec/sweep_runner.h)
  *   isolate  supervised catnap_sim worker subprocesses with retry and
  *            quarantine (exec/proc_runner.h)
- *   serve    the catnap_serve daemon and its result cache (serve/)
  *
- * With --journal, run_sweep() keeps finished points in a
- * serve::ResultCache file, the daemon's cache format, and --resume
- * replays them. execute_points() runs the misses of both run_sweep()
- * and the daemon.
+ * On either backend, --journal keeps finished points in an
+ * exec/result_cache.h file and --resume replays them.
  *
- * catnap_sim --loads, catnap_serve and the bench harnesses all parse
- * their sweep flags here, so a flag means the same thing, fails the same
- * way and exits with the same code in every binary. Every backend
- * returns results in item order, bit-identical to the serial run.
+ * catnap_sim --loads and the bench harnesses all parse their sweep
+ * flags here, so a flag means the same thing, fails the same way and
+ * exits with the same code in every binary. Every backend returns
+ * results in item order, bit-identical to the serial run.
  *
  * Exit codes shared by every binary:
  *   1 runtime or supervisor fault   2 usage error
  *   3 invalid flag value            4 sweep left quarantined point(s)
- *   5 sweep-service daemon unreachable or protocol error
+ * Code 5 (the retired sweep-service daemon) is never reused.
  */
 #ifndef CATNAP_EXEC_SWEEP_H
 #define CATNAP_EXEC_SWEEP_H
@@ -35,7 +32,6 @@
 #include <vector>
 
 #include "exec/sweep_runner.h"
-#include "obs/event.h"
 #include "sim/simulator.h"
 
 namespace catnap {
@@ -44,17 +40,12 @@ constexpr int kExitRuntime = 1;    ///< simulation, supervisor or I/O fault
 constexpr int kExitUsage = 2;      ///< unknown option or malformed CLI
 constexpr int kExitBadValue = 3;   ///< syntactically valid flag, bad value
 constexpr int kExitQuarantine = 4; ///< sweep left quarantined point(s)
-constexpr int kExitServe = 5;      ///< daemon unreachable / protocol error
 
 /** How a sweep executes. */
 struct SweepOptions
 {
     /** Concurrent points (threads or workers); 0 = one per core. */
     int jobs = 0;
-
-    /** Resolve every point against the catnap_serve daemon listening on
-     * this socket (empty = execute locally). */
-    std::string serve;
 
     /** Run every point in a supervised catnap_sim worker subprocess. */
     bool isolate = false;
@@ -68,8 +59,8 @@ struct SweepOptions
     std::string scratch;
 
     /** Keep every finished point in this CRC-checked result-cache file
-     * (serve/cache.h); without --resume an existing file is deleted
-     * first. */
+     * (exec/result_cache.h), locked for the sweep; without --resume an
+     * existing file is emptied first. */
     std::string journal;
 
     /** Replay the journal's intact records, run only missing points. */
@@ -91,8 +82,7 @@ enum SweepFlags : unsigned {
     kIsolateFlags = 1u << 1, ///< --isolate --worker --scratch
                              ///< --point-timeout --point-retries
     kJournalFlags = 1u << 2, ///< --journal --resume
-    kServeFlag = 1u << 3,    ///< --serve
-    kAllSweepFlags = kJobsFlag | kIsolateFlags | kJournalFlags | kServeFlag,
+    kAllSweepFlags = kJobsFlag | kIsolateFlags | kJournalFlags,
 };
 
 /** Rejects a flag value with a precise reason and exits kExitBadValue,
@@ -132,10 +122,10 @@ std::string sweep_flags_help(unsigned accept);
 
 /**
  * The exclusion rules, checked once after parsing; a violation exits
- * kExitUsage. The worker flags and --journal/--resume need --isolate,
- * --resume needs --journal, and --serve excludes --isolate. The bench
- * harnesses' --fork-warmup grid mode (@p fork_warmup) excludes both
- * process-boundary backends.
+ * kExitUsage. The worker flags need --isolate and --resume needs
+ * --journal. The bench harnesses' --fork-warmup grid mode
+ * (@p fork_warmup) excludes --isolate and --journal, since a warm
+ * in-process fork is neither a worker nor a journalled point.
  */
 void check_sweep_options(const SweepOptions &opts, bool fork_warmup = false);
 
@@ -145,13 +135,12 @@ std::string default_worker_path();
 
 /** Where one point's result came from. */
 enum class Provenance : std::int8_t {
-    kExecuted = 0,    ///< simulated by this sweep (or daemon request)
+    kExecuted = 0,    ///< simulated by this sweep
     kFromJournal = 1, ///< replayed from the --journal file
-    kCacheHit = 2,    ///< replayed from the daemon's result cache
-    kQuarantined = 3, ///< every attempt failed; no result
+    kQuarantined = 2, ///< every attempt failed; no result
 };
 
-/** Classification of one failed attempt (kProcExit payload b). */
+/** Classification of one failed attempt. */
 enum class PointFailKind : std::int8_t {
     kNone = 0,      ///< attempt succeeded
     kExit = 1,      ///< worker exited with a nonzero code (detail=code)
@@ -186,23 +175,23 @@ struct PointReport
  * The one miss executor: runs items[slot] for every slot in @p slots on
  * min(opts.jobs, |slots|) threads — in-process, or in a supervised
  * worker subprocess per point when opts.isolate is set (the only place
- * a ProcRunner is built; @p sink, which may be null, receives its
- * proc.* events) — and calls @p done(slot, report) on the worker thread
- * the moment that point finishes. Point failures arrive quarantined,
- * never thrown: an in-process throw quarantines at once, because the
- * simulator is deterministic and a retry would throw again. Supervisor
- * faults (an unspawnable worker, an unusable scratch directory) and
- * exceptions from @p done propagate once every slot has been attempted.
+ * a ProcRunner is built) — and calls @p done(slot, report) on the
+ * worker thread the moment that point finishes. Point failures arrive
+ * quarantined, never thrown: an in-process throw quarantines at once,
+ * because the simulator is deterministic and a retry would throw again.
+ * Supervisor faults (an unspawnable worker, an unusable scratch
+ * directory) and exceptions from @p done propagate once every slot has
+ * been attempted.
  */
 void execute_points(const std::vector<RunItem> &items,
                     const std::vector<std::size_t> &slots,
-                    const SweepOptions &opts, EventSink *sink,
+                    const SweepOptions &opts,
                     const std::function<void(std::size_t, PointReport)> &done);
 
 /** Everything run_sweep() reports. */
 struct SweepOutcome
 {
-    const char *backend = "local"; ///< "local", "isolate" or "serve"
+    const char *backend = "local"; ///< "local" or "isolate"
 
     /** Item order; slot i is valid unless provenance[i] is
      * kQuarantined. */
@@ -211,29 +200,28 @@ struct SweepOutcome
 
     std::size_t executed = 0;
     std::size_t from_journal = 0;
-    std::size_t hits = 0;
     std::size_t quarantined = 0;
 
     /** Deterministic description of every quarantined point, in point
      * order (index, key, load, seed, reason); empty when none. */
     std::string quarantine_summary;
 
-    /** 0, or kExitQuarantine, or the code of a whole-sweep failure
-     * (kExitRuntime, kExitServe) whose reason is @c fatal. */
+    /** 0, or kExitQuarantine, or kExitRuntime for a whole-sweep failure
+     * whose reason is @c fatal. */
     int exit_code = 0;
     std::string fatal;
 
-    /** "[backend] H hit(s), E executed, J point(s) from journal, Q
-     * quarantined" plus a newline. */
+    /** "[backend] E executed, J point(s) from journal, Q quarantined"
+     * plus a newline. */
     std::string status_line() const;
 };
 
 /**
- * Runs @p items on the backend @p opts selects. Locally, points with the
- * same key (exec/point_codec.h) resolve once and later copies take the
- * first copy's result and provenance; with opts.journal, the journal's
- * points replay as kFromJournal and every executed point is stored the
- * moment it finishes. Never throws: every failure is reported through
+ * Runs @p items on the backend @p opts selects. Points with the same key
+ * (exec/point_codec.h) resolve once and later copies take the first
+ * copy's result and provenance; with opts.journal, the journal's points
+ * replay as kFromJournal and every executed point is stored the moment
+ * it finishes. Never throws: every failure is reported through
  * the outcome's exit code.
  */
 SweepOutcome run_sweep(const std::vector<RunItem> &items,

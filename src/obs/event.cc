@@ -24,13 +24,6 @@ event_kind_name(EventKind k)
       case EventKind::kPacketTimeout:   return "packet_timeout";
       case EventKind::kPacketRetransmit:return "packet_retransmit";
       case EventKind::kPacketDrop:      return "packet_drop";
-      case EventKind::kProcSpawn:       return "proc_spawn";
-      case EventKind::kProcExit:        return "proc_exit";
-      case EventKind::kProcRetry:       return "proc_retry";
-      case EventKind::kProcQuarantine:  return "proc_quarantine";
-      case EventKind::kServeRequest:    return "serve_request";
-      case EventKind::kServeExec:       return "serve_exec";
-      case EventKind::kServeEvict:      return "serve_evict";
     }
     return "?";
 }

@@ -96,52 +96,10 @@ enum class EventKind : std::int8_t {
      * attempts (or with no healthy subnet left). [pkt=packet id,
      * a=attempts] */
     kPacketDrop = 17,
-
-    /**
-     * Crash-isolated sweep backend (exec/proc_runner.h): a worker
-     * subprocess was spawned for a sweep point. Unlike the kinds
-     * above, `cycle` holds host wall-clock *microseconds since the
-     * sweep started*, not simulation cycles, and the payload reflects
-     * host scheduling (run-to-run nondeterministic). [node=point index,
-     * a=attempt number (1-based), b=pid]
-     */
-    kProcSpawn = 18,
-
-    /** A worker subprocess reached a terminal state. [node=point
-     * index, a=attempt number, b=outcome (PointFailKind: 0 ok, 1 exit,
-     * 2 signal, 3 timeout, 4 bad result), pkt=detail — exit code or
-     * signal number; `cycle` is host microseconds] */
-    kProcExit = 19,
-
-    /** A failed point is being retried after its backoff. [node=point
-     * index, a=next attempt number, b=backoff in milliseconds] */
-    kProcRetry = 20,
-
-    /** A point exhausted its retry budget and was quarantined; the
-     * rest of the sweep continues. [node=point index, a=attempts] */
-    kProcQuarantine = 21,
-
-    /**
-     * Sweep service (serve/server.h): one sweep request was answered.
-     * Host-time semantics like kProc*: `cycle` is host microseconds
-     * since the daemon started. [node=points in the request, a=cache
-     * hits, b=misses executed for the requester]
-     */
-    kServeRequest = 22,
-
-    /** Sweep service: one cache miss finished executing. [node=point
-     * index in the request, a=attempts, b=0 ok / 1 quarantined;
-     * `cycle` is host microseconds] */
-    kServeExec = 23,
-
-    /** Sweep service: a cache insert pushed the result cache past its
-     * byte bound and evicted oldest-first. [a=entries evicted,
-     * b=entries still live; `cycle` is host microseconds] */
-    kServeEvict = 24,
 };
 
 /** Number of distinct event kinds. */
-inline constexpr int kNumEventKinds = 25;
+inline constexpr int kNumEventKinds = 18;
 
 /** Why a sleeping router was woken (kRouterWakeBegin payload `a`). */
 enum class WakeReason : std::int8_t {

@@ -94,20 +94,7 @@ write_chrome_trace(std::ostream &os, const EventTrace &trace,
 {
     TraceExportMeta m = meta;
     Cycle last_cycle = 0;
-    bool has_exec = false;
     trace.for_each([&](const TraceEvent &ev) {
-        if (ev.kind == EventKind::kProcSpawn ||
-            ev.kind == EventKind::kProcExit ||
-            ev.kind == EventKind::kProcRetry ||
-            ev.kind == EventKind::kProcQuarantine ||
-            ev.kind == EventKind::kServeRequest ||
-            ev.kind == EventKind::kServeExec ||
-            ev.kind == EventKind::kServeEvict) {
-            // Host-time track: excluded from the cycle-domain maxima
-            // (node holds a point index, not a router id).
-            has_exec = true;
-            return;
-        }
         last_cycle = std::max(last_cycle, ev.cycle);
         m.num_subnets = std::max(m.num_subnets, ev.subnet + 1);
         if (ev.kind == EventKind::kRcsSet ||
@@ -122,12 +109,6 @@ write_chrome_trace(std::ostream &os, const EventTrace &trace,
     os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
     JsonArrayWriter arr(os);
     write_metadata(arr, m);
-    if (has_exec) {
-        arr.next() << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":"
-                   << kExecTrackPid
-                   << ",\"args\":{\"name\":\"execution engine (host "
-                      "time, us)\"}}";
-    }
 
     // Power-state spans: every router starts Active at the window start
     // (if the ring dropped the true beginning, the first retained
@@ -241,42 +222,8 @@ write_chrome_trace(std::ostream &os, const EventTrace &trace,
             write_instant(arr, "pkt drop", "fault", ev.subnet, ev.node,
                           ev.cycle);
             break;
-          case EventKind::kProcExit:
-            // Worker lifetimes on the exec host-time track, one tid per
-            // sweep point; b != 0 marks a classified failure.
-            arr.next() << "{\"name\":\"worker pt " << ev.node
-                       << (ev.b == 0 ? "" : " FAIL")
-                       << "\",\"cat\":\"proc\",\"ph\":\"i\",\"ts\":"
-                       << ev.cycle << ",\"pid\":" << kExecTrackPid
-                       << ",\"tid\":" << ev.node
-                       << ",\"s\":\"t\",\"args\":{\"attempt\":" << ev.a
-                       << ",\"outcome\":" << ev.b
-                       << ",\"detail\":" << ev.pkt << "}}";
-            break;
-          case EventKind::kProcQuarantine:
-            arr.next() << "{\"name\":\"quarantined pt " << ev.node
-                       << "\",\"cat\":\"proc\",\"ph\":\"i\",\"ts\":"
-                       << ev.cycle << ",\"pid\":" << kExecTrackPid
-                       << ",\"tid\":" << ev.node
-                       << ",\"s\":\"p\",\"args\":{\"attempts\":" << ev.a
-                       << "}}";
-            break;
-          case EventKind::kServeRequest:
-            // Sweep-service requests land on the exec host-time track;
-            // a=hits vs b=misses shows cache effectiveness over time.
-            arr.next() << "{\"name\":\"serve req " << ev.node
-                       << "pt\",\"cat\":\"serve\",\"ph\":\"i\",\"ts\":"
-                       << ev.cycle << ",\"pid\":" << kExecTrackPid
-                       << ",\"tid\":0,\"s\":\"t\",\"args\":{\"points\":"
-                       << ev.node << ",\"hits\":" << ev.a
-                       << ",\"misses\":" << ev.b << "}}";
-            break;
           case EventKind::kFlitEject:
           case EventKind::kSubnetSelect:
-          case EventKind::kProcSpawn:
-          case EventKind::kProcRetry:
-          case EventKind::kServeExec:
-          case EventKind::kServeEvict:
             break; // JSONL-only detail; spans/counters cover the story
         }
     });

@@ -40,15 +40,6 @@ struct TraceExportMeta
  * (router threads use their node id directly). */
 inline constexpr int kRcsTrackTidBase = 100000;
 
-/**
- * Process id of the execution-engine track in the Chrome export. Sweep
- * worker and sweep-service events live on their own process (one
- * thread per sweep point) and are timestamped in host microseconds,
- * separate from the per-subnet simulation processes whose timestamps
- * are cycles.
- */
-inline constexpr int kExecTrackPid = 200000;
-
 /** Writes @p trace as a single Chrome trace-event JSON object. */
 void write_chrome_trace(std::ostream &os, const EventTrace &trace,
                         const TraceExportMeta &meta);

@@ -13,14 +13,7 @@
  *   3. decode_point_spec(): the full MultiNocConfig/traffic/params
  *      wire codec behind the sealed spec container;
  *   4. scan_journal(): the torn-tail-tolerant journal scan, plus a
- *      re-append/re-scan round-trip over whatever it accepted;
- *   5. serve::decode_frame(): the sweep-service frame decoder is
- *      *total* — every prefix must yield need-more/frame/bad, and a
- *      decoded frame must re-encode to the consumed bytes;
- *   6. serve::parse_json(): accepts or throws ServeError, and any
- *      accepted string value must survive a json_quote round-trip;
- *   7. serve::decode_request(): the daemon's whole trust-boundary
- *      payload path (JSON shape + hex + sealed spec validation).
+ *      re-append/re-scan round-trip over whatever it accepted.
  *
  * Build with -fsanitize=fuzzer,address,undefined (CATNAP_FUZZ=ON,
  * Clang only — see tests/fuzz/CMakeLists.txt). Seed corpus comes from
@@ -31,16 +24,10 @@
 #include <cstdint>
 #include <vector>
 
-#include <algorithm>
-#include <string>
-
 #include "ckpt/archive.h"
 #include "ckpt/checkpoint.h"
 #include "ckpt/journal.h"
 #include "exec/point_codec.h"
-#include "serve/frame.h"
-#include "serve/json.h"
-#include "serve/server.h"
 
 using namespace catnap;
 
@@ -109,44 +96,6 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     if (again.records.size() != scan.records.size() ||
         again.discarded_bytes != 0)
         __builtin_trap();
-
-    // 5. Frame decoder: total over arbitrary bytes, and any decoded
-    // frame must re-encode to exactly the bytes it consumed.
-    {
-        const serve::FrameDecode dec = serve::decode_frame(bytes);
-        if (dec.status == serve::FrameStatus::kFrame) {
-            if (dec.consumed > size)
-                __builtin_trap();
-            const std::vector<std::uint8_t> re =
-                serve::encode_frame(dec.payload);
-            if (re.size() != dec.consumed ||
-                !std::equal(re.begin(), re.end(), bytes.begin()))
-                __builtin_trap();
-        }
-    }
-
-    const std::string text(reinterpret_cast<const char *>(data), size);
-
-    // 6. JSON parser: accept or ServeError, nothing else; any accepted
-    // string value must survive a quote/reparse round-trip.
-    try {
-        const serve::JsonValue v = serve::parse_json(text);
-        if (v.is_string()) {
-            const serve::JsonValue rt =
-                serve::parse_json(serve::json_quote(v.string));
-            if (!rt.is_string() || rt.string != v.string)
-                __builtin_trap();
-        }
-    } catch (const serve::ServeError &) {
-    }
-
-    // 7. The daemon's full request-decoding path (the seed corpus's
-    // request.json carries a real sealed spec image in hex, so the
-    // fuzzer mutates past the JSON shape into the spec validation).
-    try {
-        (void)serve::decode_request(text);
-    } catch (const serve::ServeError &) {
-    }
 
     return 0;
 }

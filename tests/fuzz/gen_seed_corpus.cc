@@ -17,8 +17,6 @@
 #include "exec/point_codec.h"
 #include "exec/sweep_runner.h"
 #include "noc/multinoc.h"
-#include "serve/frame.h"
-#include "serve/server.h"
 
 using namespace catnap;
 
@@ -67,17 +65,6 @@ main(int argc, char **argv)
     fields.put_string("seed corpus");
     ckpt::write_file(dir + "/fields.bin", fields.bytes());
 
-    // A real sweep request, bare (for the JSON/request surfaces) and
-    // framed (for the frame decoder): the fuzzer starts past both the
-    // request grammar and the frame magic/length gates.
-    const std::string request =
-        "{\"type\":\"sweep\",\"points\":[\"" +
-        serve::to_hex(encode_point_spec(item)) + "\"]}";
-    ckpt::write_file(dir + "/request.json",
-                     std::vector<std::uint8_t>(request.begin(),
-                                               request.end()));
-    ckpt::write_file(dir + "/request.frame", serve::encode_frame(request));
-
-    std::printf("wrote 6 seed inputs to %s\n", dir.c_str());
+    std::printf("wrote 4 seed inputs to %s\n", dir.c_str());
     return 0;
 }

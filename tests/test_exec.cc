@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the execution engine (src/exec/): the thread pool's ordered
- * parallel map, the deterministic batch runner, and the crash-isolated
- * subprocess backend with its journal.
+ * parallel map, the deterministic batch runner, the crash-isolated
+ * subprocess backend, and the result cache behind its journal.
  *
  * The load-bearing guarantee is pinned by ExecSweep.*: the parallel
  * sweep must be *byte-identical* to the serial loop for any --jobs
@@ -27,7 +27,9 @@
 #include <signal.h>
 #include <sys/stat.h>
 
+#include "ckpt/journal.h"
 #include "exec/proc_runner.h"
+#include "exec/result_cache.h"
 #include "exec/sweep.h"
 #include "exec/sweep_runner.h"
 #include "exec/thread_pool.h"
@@ -461,13 +463,16 @@ TEST(ExecProc, PartialJournalResumesOnlyMissingPoints)
 
 TEST(ExecProc, CrashingWorkerIsQuarantinedAndClassified)
 {
+    // The wrapper worker counts its own spawns: one per attempt.
     SweepOptions opts = proc_options("exit3");
-    opts.worker = write_script(opts.scratch + "_worker.sh", "exit 3");
+    const std::string count = opts.scratch + "_spawns";
+    std::remove(count.c_str());
+    opts.worker = write_script(opts.scratch + "_worker.sh",
+                               "echo x >> " + count + "; exit 3");
     opts.point_retries = 2;
 
-    EventTrace trace(1024);
-    ProcRunner runner(opts, &trace);
-    const PointReport rep = runner.run_one(0, proc_items({0.02})[0]);
+    ProcRunner runner(opts);
+    const PointReport rep = runner.run_one(proc_items({0.02})[0]);
     EXPECT_EQ(rep.status, Provenance::kQuarantined);
     EXPECT_EQ(rep.attempts, 3); // 1 + point_retries
     ASSERT_EQ(rep.failures.size(), 3u);
@@ -477,18 +482,7 @@ TEST(ExecProc, CrashingWorkerIsQuarantinedAndClassified)
     }
     EXPECT_EQ(rep.failure_reason(),
               "3 attempt(s) [exit code 3; exit code 3; exit code 3]");
-
-    // Lifecycle events: one spawn per attempt, retries between them,
-    // one quarantine marker.
-    int spawns = 0, retries = 0, quarantines = 0;
-    trace.for_each([&](const TraceEvent &ev) {
-        if (ev.kind == EventKind::kProcSpawn) ++spawns;
-        if (ev.kind == EventKind::kProcRetry) ++retries;
-        if (ev.kind == EventKind::kProcQuarantine) ++quarantines;
-    });
-    EXPECT_EQ(spawns, 3);
-    EXPECT_EQ(retries, 2);
-    EXPECT_EQ(quarantines, 1);
+    EXPECT_EQ(count_lines(count), 3);
 }
 
 TEST(ExecProc, SignalDeathIsClassifiedAsSignal)
@@ -496,8 +490,8 @@ TEST(ExecProc, SignalDeathIsClassifiedAsSignal)
     SweepOptions opts = proc_options("sig");
     opts.worker = write_script(opts.scratch + "_worker.sh", "kill -KILL $$");
     opts.point_retries = 0;
-    ProcRunner runner(opts, nullptr);
-    const PointReport rep = runner.run_one(0, proc_items({0.02})[0]);
+    ProcRunner runner(opts);
+    const PointReport rep = runner.run_one(proc_items({0.02})[0]);
     EXPECT_EQ(rep.status, Provenance::kQuarantined);
     ASSERT_EQ(rep.failures.size(), 1u);
     EXPECT_EQ(rep.failures[0].kind, PointFailKind::kSignal);
@@ -512,9 +506,9 @@ TEST(ExecProc, WatchdogKillsHungWorker)
     opts.worker = write_script(opts.scratch + "_worker.sh", "exec sleep 30");
     opts.point_retries = 0;
     opts.point_timeout_ms = 200;
-    ProcRunner runner(opts, nullptr);
+    ProcRunner runner(opts);
     const auto t0 = std::chrono::steady_clock::now();
-    const PointReport rep = runner.run_one(0, proc_items({0.02})[0]);
+    const PointReport rep = runner.run_one(proc_items({0.02})[0]);
     const auto elapsed = std::chrono::steady_clock::now() - t0;
     EXPECT_EQ(rep.status, Provenance::kQuarantined);
     ASSERT_EQ(rep.failures.size(), 1u);
@@ -533,8 +527,8 @@ TEST(ExecProc, CorruptResultImageIsClassifiedBadResult)
     opts.worker = write_script(opts.scratch + "_worker.sh",
                                "printf 'not a result image' > \"$4\"");
     opts.point_retries = 0;
-    ProcRunner runner(opts, nullptr);
-    const PointReport rep = runner.run_one(0, proc_items({0.02})[0]);
+    ProcRunner runner(opts);
+    const PointReport rep = runner.run_one(proc_items({0.02})[0]);
     EXPECT_EQ(rep.status, Provenance::kQuarantined);
     ASSERT_EQ(rep.failures.size(), 1u);
     EXPECT_EQ(rep.failures[0].kind, PointFailKind::kBadResult);
@@ -557,6 +551,95 @@ TEST(ExecProc, DuplicatePointsRunOnce)
     EXPECT_EQ(sweep.executed, 3u);
     EXPECT_EQ(sweep.provenance[1], Provenance::kExecuted);
     EXPECT_EQ(to_csv(sweep.results), to_csv(run_batch(items)));
+}
+
+// ---------------------------------------------------------------------
+// ResultCache: the journal store (exec/result_cache.h)
+// ---------------------------------------------------------------------
+
+std::vector<std::uint8_t>
+payload_of(char fill, std::size_t n)
+{
+    return std::vector<std::uint8_t>(n, static_cast<std::uint8_t>(fill));
+}
+
+/** A journal path with no file behind it yet. */
+std::string
+cache_path(const std::string &tag)
+{
+    const std::string path =
+        ::testing::TempDir() + "catnap_result_cache_" + tag + ".journal";
+    std::remove(path.c_str());
+    return path;
+}
+
+TEST(ResultCache, InsertsLooksUpAndCounts)
+{
+    const std::string path = cache_path("insert");
+    ResultCache cache(path, ckpt::JournalWriter::Mode::kTruncate);
+    std::vector<std::uint8_t> got;
+    EXPECT_FALSE(cache.lookup(1, got));
+
+    cache.insert(1, payload_of('a', 10));
+    cache.insert(2, payload_of('b', 20));
+    ASSERT_TRUE(cache.lookup(1, got));
+    EXPECT_EQ(got, payload_of('a', 10));
+    ASSERT_TRUE(cache.lookup(2, got));
+    EXPECT_EQ(got, payload_of('b', 20));
+
+    // Re-insert replaces the payload; every insert is one appended
+    // record.
+    cache.insert(1, payload_of('c', 30));
+    ASSERT_TRUE(cache.lookup(1, got));
+    EXPECT_EQ(got, payload_of('c', 30));
+    EXPECT_EQ(ckpt::load_journal(path).records.size(), 3u);
+}
+
+TEST(ResultCache, SurvivesReopenBitForBit)
+{
+    const std::string path = cache_path("reopen");
+    {
+        ResultCache cache(path, ckpt::JournalWriter::Mode::kTruncate);
+        cache.insert(7, payload_of('x', 100));
+        cache.insert(9, payload_of('y', 50));
+    }
+    ResultCache again(path, ckpt::JournalWriter::Mode::kAppend);
+    std::vector<std::uint8_t> got;
+    ASSERT_TRUE(again.lookup(7, got));
+    EXPECT_EQ(got, payload_of('x', 100));
+    ASSERT_TRUE(again.lookup(9, got));
+    EXPECT_EQ(got, payload_of('y', 50));
+    const ckpt::JournalScan scan = ckpt::load_journal(path);
+    EXPECT_EQ(scan.records.size(), 2u);
+    EXPECT_EQ(scan.discarded_bytes, 0u);
+}
+
+TEST(ResultCache, TornTailIsDiscardedThenCompacted)
+{
+    const std::string path = cache_path("torn");
+    {
+        ResultCache cache(path, ckpt::JournalWriter::Mode::kTruncate);
+        cache.insert(1, payload_of('a', 40));
+        cache.insert(2, payload_of('b', 40));
+    }
+    // Simulate a SIGKILL mid-append: garbage where a record started.
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::app);
+        out.write("CJL1torn", 8);
+    }
+    EXPECT_GT(ckpt::load_journal(path).discarded_bytes, 0u);
+    {
+        ResultCache torn(path, ckpt::JournalWriter::Mode::kAppend);
+        std::vector<std::uint8_t> got;
+        ASSERT_TRUE(torn.lookup(2, got));
+        EXPECT_EQ(got, payload_of('b', 40));
+        // The compaction must leave an appendable file.
+        torn.insert(3, payload_of('c', 40));
+    }
+    // After the compacting reopen the file is fully intact again.
+    const ckpt::JournalScan scan = ckpt::load_journal(path);
+    EXPECT_EQ(scan.records.size(), 3u);
+    EXPECT_EQ(scan.discarded_bytes, 0u);
 }
 
 } // namespace

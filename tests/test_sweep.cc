@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the one sweep-execution interface (src/exec/sweep.h): the
- * shared flag parser and exclusion rules, run_sweep()'s backends and
- * provenance, and the mapping of failures onto exit codes.
+ * shared flag parser and exclusion rules, run_sweep()'s backends,
+ * journal and provenance, and the mapping of failures onto exit codes.
  *
  * The load-bearing guarantee: every backend returns results in item
  * order, byte-identical to the serial run_batch() — compared through
@@ -10,11 +10,20 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+
+#include "ckpt/journal.h"
+#include "exec/point_codec.h"
+#include "exec/result_cache.h"
 #include "exec/sweep.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
@@ -59,6 +68,18 @@ isolated(const std::string &tag)
     return opts;
 }
 
+/** A journal path in the scratch directory of @p tag, with no file yet
+ * (the directory is created). */
+std::string
+journal_path(const std::string &tag)
+{
+    const std::string dir = ::testing::TempDir() + "catnap_sweep_" + tag;
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/sweep.journal";
+    std::filesystem::remove(path);
+    return path;
+}
+
 /** Parses @p args (after a program name) as sweep flags. */
 SweepOptions
 parse(std::vector<std::string> args, unsigned accept = kAllSweepFlags)
@@ -94,7 +115,6 @@ TEST(SweepCli, ParsesEveryFlagGroup)
     EXPECT_TRUE(opts.resume);
     EXPECT_EQ(opts.point_timeout_ms, 500);
     EXPECT_EQ(opts.point_retries, 0);
-    EXPECT_EQ(parse({"--serve", "sock"}).serve, "sock");
 }
 
 TEST(SweepCli, GroupsOutsideTheAcceptMaskAreNotConsumed)
@@ -123,15 +143,17 @@ TEST(SweepCliDeathTest, BadValuesExitThree)
 
 TEST(SweepCliDeathTest, ExclusionRulesExitTwo)
 {
-    EXPECT_EXIT(check_sweep_options(parse({"--journal", "j"})),
-                ::testing::ExitedWithCode(2), "require --isolate");
     EXPECT_EXIT(check_sweep_options(parse({"--worker", "w"})),
                 ::testing::ExitedWithCode(2), "require --isolate");
+    EXPECT_EXIT(check_sweep_options(parse({"--point-retries", "0"})),
+                ::testing::ExitedWithCode(2), "require --isolate");
+    EXPECT_EXIT(check_sweep_options(parse({"--resume"})),
+                ::testing::ExitedWithCode(2), "--resume requires --journal");
     EXPECT_EXIT(check_sweep_options(parse({"--isolate", "--resume"})),
                 ::testing::ExitedWithCode(2), "--resume requires --journal");
-    EXPECT_EXIT(check_sweep_options(parse({"--isolate", "--serve", "s"})),
-                ::testing::ExitedWithCode(2), "mutually exclusive");
-    EXPECT_EXIT(check_sweep_options(parse({"--serve", "s"}), true),
+    EXPECT_EXIT(check_sweep_options(parse({"--isolate"}), true),
+                ::testing::ExitedWithCode(2), "--fork-warmup excludes");
+    EXPECT_EXIT(check_sweep_options(parse({"--journal", "j"}), true),
                 ::testing::ExitedWithCode(2), "--fork-warmup excludes");
 }
 
@@ -140,7 +162,7 @@ TEST(SweepCli, ValidCombinationsPassTheRules)
     check_sweep_options(parse({"--jobs", "2"}), true);
     check_sweep_options(
         parse({"--isolate", "--journal", "j", "--resume", "--scratch", "s"}));
-    check_sweep_options(parse({"--serve", "s", "--jobs", "4"}));
+    check_sweep_options(parse({"--journal", "j", "--resume", "--jobs", "4"}));
 }
 
 // ---------------------------------------------------------------------
@@ -159,8 +181,73 @@ TEST(SweepBackend, LocalMatchesRunBatchAndReportsExecuted)
     for (const Provenance p : out.provenance)
         EXPECT_EQ(p, Provenance::kExecuted);
     EXPECT_EQ(to_csv(out.results), to_csv(run_batch(items)));
-    EXPECT_EQ(out.status_line(), "[local] 0 hit(s), 3 executed, 0 point(s) "
-                                 "from journal, 0 quarantined\n");
+    EXPECT_EQ(out.status_line(),
+              "[local] 3 executed, 0 point(s) from journal, 0 quarantined\n");
+}
+
+TEST(SweepBackend, LocalJournalResumesWithoutExecuting)
+{
+    // --journal needs no --isolate: the in-process backend stores every
+    // point, and --resume replays them all without executing any.
+    const auto items = sweep_items({0.02, 0.05, 0.08});
+    SweepOptions opts;
+    opts.jobs = 2;
+    opts.journal = journal_path("local");
+    const SweepOutcome cold = run_sweep(items, opts);
+    ASSERT_EQ(cold.exit_code, 0) << cold.fatal;
+    EXPECT_EQ(cold.executed, items.size());
+    EXPECT_EQ(ckpt::load_journal(opts.journal).records.size(), items.size());
+
+    opts.resume = true;
+    const SweepOutcome warm = run_sweep(items, opts);
+    ASSERT_EQ(warm.exit_code, 0) << warm.fatal;
+    EXPECT_EQ(warm.status_line(),
+              "[local] 0 executed, 3 point(s) from journal, 0 quarantined\n");
+    EXPECT_EQ(to_csv(warm.results), to_csv(run_batch(items)));
+}
+
+TEST(SweepBackend, SecondSweepOnALockedJournalFailsFast)
+{
+    // A sweep without --resume starts its journal over. While another
+    // sweep holds the file, it must fail at once and leave it intact.
+    SweepOptions opts;
+    opts.journal = journal_path("locked");
+    ResultCache held(opts.journal, ckpt::JournalWriter::Mode::kTruncate);
+    held.insert(1, {0x2a});
+
+    const SweepOutcome out = run_sweep(sweep_items({0.02}), opts);
+    EXPECT_EQ(out.exit_code, kExitRuntime);
+    EXPECT_EQ(out.fatal, "journal: '" + opts.journal +
+                             "' is in use by another sweep");
+    EXPECT_EQ(out.executed, 0u);
+    const ckpt::JournalScan scan = ckpt::load_journal(opts.journal);
+    ASSERT_EQ(scan.records.size(), 1u);
+    EXPECT_EQ(scan.records[0].key, 1u);
+}
+
+TEST(SweepBackend, CachedRecordThatDoesNotDecodeExactlyIsReExecuted)
+{
+    // A record whose CRC holds but whose payload carries one byte more
+    // than a SyntheticResult is not that point's result: the resume must
+    // run the point instead of replaying the record.
+    const auto items = sweep_items({0.02});
+    SweepOptions opts;
+    opts.journal = journal_path("exact");
+    opts.resume = true;
+    {
+        ckpt::Writer w;
+        put_synth_result(w, run_batch(items)[0]);
+        std::vector<std::uint8_t> payload = w.bytes();
+        payload.push_back(0);
+        ckpt::JournalWriter(opts.journal,
+                            ckpt::JournalWriter::Mode::kTruncate)
+            .append(point_hash(items[0]), payload);
+    }
+    const SweepOutcome out = run_sweep(items, opts);
+    ASSERT_EQ(out.exit_code, 0) << out.fatal;
+    EXPECT_EQ(out.from_journal, 0u);
+    EXPECT_EQ(out.executed, 1u);
+    EXPECT_EQ(to_csv(out.results), to_csv(run_batch(items)));
 }
 
 TEST(SweepBackend, IsolateMatchesLocalAndResumesFromTheJournal)
@@ -224,6 +311,68 @@ TEST(SweepBackend, QuarantineExitsFourWithADeterministicSummary)
     EXPECT_NE(a.quarantine_summary.find("1 attempt(s) [exit code 1]"),
               std::string::npos);
     EXPECT_EQ(a.quarantine_summary, b.quarantine_summary);
+}
+
+TEST(SweepBackend, QuarantinedPointsAreNeverJournalled)
+{
+    const auto items = sweep_items({0.02});
+    SweepOptions opts = isolated("quarj");
+    opts.worker = "/bin/false";
+    opts.point_retries = 0;
+    opts.journal = journal_path("quarj");
+    const SweepOutcome first = run_sweep(items, opts);
+    EXPECT_EQ(first.exit_code, kExitQuarantine);
+    EXPECT_EQ(first.quarantined, items.size());
+    EXPECT_TRUE(ckpt::load_journal(opts.journal).records.empty());
+
+    // Nothing was journalled, so a resume re-attempts (and fails again)
+    // instead of replaying a bogus result.
+    opts.resume = true;
+    const SweepOutcome second = run_sweep(items, opts);
+    EXPECT_EQ(second.exit_code, kExitQuarantine);
+    EXPECT_EQ(second.from_journal, 0u);
+    EXPECT_EQ(second.quarantined, items.size());
+    EXPECT_EQ(second.provenance[0], Provenance::kQuarantined);
+    EXPECT_TRUE(ckpt::load_journal(opts.journal).records.empty());
+}
+
+TEST(SweepBackend, IsolatedMissIsCachedBeforeItsSiblingsFinish)
+{
+    // The worker for items[1] stalls until the test creates `release`.
+    // Its sibling must reach the journal while it is still stalled.
+    const auto items = sweep_items({0.02, 0.05});
+    SweepOptions opts = isolated("durable");
+    opts.jobs = 2;
+    opts.journal = journal_path("durable");
+    const std::string release = opts.scratch + "/release";
+    std::filesystem::remove(release);
+    opts.worker = opts.scratch + "/worker.sh";
+    {
+        std::ofstream out(opts.worker);
+        out << "#!/bin/sh\ncase \"$2\" in *"
+            << key_hex(point_hash(items[1])) << "*)\n"
+            << "  while [ ! -e " << release << " ]; do sleep 0.02; done;;\n"
+            << "esac\nexec " << CATNAP_SIM_PATH << " \"$@\"\n";
+    }
+    ::chmod(opts.worker.c_str(), 0755);
+
+    SweepOutcome both;
+    std::thread sweep([&] { both = run_sweep(items, opts); });
+    std::size_t stored = 0;
+    for (int i = 0; i < 500 && stored == 0; ++i) {
+        stored = ckpt::load_journal(opts.journal).records.size();
+        if (stored == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    const std::size_t stored_while_stalled =
+        ckpt::load_journal(opts.journal).records.size();
+
+    std::ofstream(release).put('x');
+    sweep.join();
+    EXPECT_EQ(stored_while_stalled, 1u)
+        << "finished point was not journalled while its sibling stalled";
+    ASSERT_EQ(both.exit_code, 0) << both.fatal;
+    EXPECT_EQ(to_csv(both.results), to_csv(run_batch(items)));
 }
 
 TEST(SweepBackend, UnspawnableWorkerIsASupervisorFault)

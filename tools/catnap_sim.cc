@@ -21,7 +21,6 @@
 #include "obs/export.h"
 #include "obs/snapshot.h"
 #include "obs/trace_buffer.h"
-#include "serve/client.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
 
@@ -95,16 +94,13 @@ usage(int code)
         "                            --load point\n"
         "  --csv FILE                save sweep results as CSV\n"
         "%s"
-        "  --serve-stats SOCKET      print the daemon's statistics JSON\n"
-        "                            and exit (no sweep)\n"
         "  --worker-spec F --worker-out F\n"
         "                            (internal) worker mode: run the one\n"
         "                            point sealed in F, write the result\n"
         "exit codes:\n"
         "  0 success                 1 simulation/runtime error\n"
         "  2 usage error             3 invalid configuration value\n"
-        "  4 sweep finished with quarantined point(s)\n"
-        "  5 sweep-service daemon unreachable or protocol error\n",
+        "  4 sweep finished with quarantined point(s)\n",
         sweep_flags_help(kAllSweepFlags).c_str());
     std::exit(code);
 }
@@ -303,7 +299,6 @@ main(int argc, char **argv)
     Cycle ckpt_every = 0;
     std::string worker_spec;
     std::string worker_out;
-    std::string serve_stats_socket;
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -383,8 +378,6 @@ main(int argc, char **argv)
             worker_spec = need_value(argc, argv, i);
         else if (a == "--worker-out")
             worker_out = need_value(argc, argv, i);
-        else if (a == "--serve-stats")
-            serve_stats_socket = need_value(argc, argv, i);
         else if (a == "--fault-kill-router") {
             const auto f =
                 parse_fields(a.c_str(), need_value(argc, argv, i), 3);
@@ -447,21 +440,6 @@ main(int argc, char **argv)
         }
     }
 
-    // Stats query mode short-circuits everything else: talk to the
-    // daemon, print its counters, done.
-    if (!serve_stats_socket.empty()) {
-        try {
-            serve::ServeClientOptions copts;
-            copts.socket_path = serve_stats_socket;
-            copts.attempts = 1;
-            std::printf("%s\n", serve::fetch_stats(copts).to_json().c_str());
-            return 0;
-        } catch (const serve::ServeError &e) {
-            std::fprintf(stderr, "catnap_sim: %s\n", e.what());
-            return kExitServe;
-        }
-    }
-
     // Worker mode short-circuits everything else: the spec file is the
     // whole configuration (see run_worker above).
     if (!worker_spec.empty() || !worker_out.empty()) {
@@ -486,9 +464,9 @@ main(int argc, char **argv)
                   "model");
     }
     check_sweep_options(sweep);
-    if ((sweep.isolate || !sweep.serve.empty()) &&
+    if ((sweep.isolate || !sweep.journal.empty()) &&
         (mode != "synthetic" || loads.empty())) {
-        std::fprintf(stderr, "--isolate and --serve apply to synthetic "
+        std::fprintf(stderr, "--isolate and --journal apply to synthetic "
                              "--loads sweeps\n");
         usage(kExitUsage);
     }

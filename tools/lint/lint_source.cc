@@ -25,11 +25,6 @@ is_host_side(const std::string &path)
 {
     if (path.find("src/exec/") != std::string::npos)
         return true;
-    // The sweep service is supervisor machinery like src/exec/: socket
-    // I/O, host-time trace stamps, and retry cadences never run during
-    // a simulation phase.
-    if (path.find("src/serve/") != std::string::npos)
-        return true;
     // Test drivers orchestrate simulations from the outside: host
     // timeouts and duration asserts legitimately read the host clock,
     // and their helper scaffolding is not tick-path code.
