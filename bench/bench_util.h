@@ -7,8 +7,8 @@
  *
  * Every harness accepts --jobs N and --csv FILE. Harnesses whose points
  * are RunItems also take the sweep backend flags of exec/sweep.h
- * (--isolate, --journal, ...) and run through run_sweep(); the load-grid
- * harnesses add --fork-warmup. Any other option is a usage error.
+ * (--isolate, --journal, ...) and run through run_sweep(). Any other
+ * option is a usage error.
  *
  * Results are bit-identical for every --jobs value and backend: points
  * run on private state and result i lands in slot i regardless of which
@@ -38,8 +38,8 @@ namespace catnap::bench {
  * Warm-up length shared by every synthetic sweep harness. One constant,
  * not per-harness literals: the value flows into RunParams::warmup and
  * from there into the run-level checkpoint config hash (DESIGN.md §13),
- * so a warm state saved or forked under one warm-up length can never be
- * reused under another.
+ * so a warm state saved under one warm-up length can never be reused
+ * under another.
  */
 inline constexpr Cycle kSweepWarmup = 1500;
 
@@ -81,16 +81,6 @@ struct BenchOptions : SweepOptions
 {
     /** When non-empty, the harness saves its main sweep here. */
     std::string csv;
-    /**
-     * Warm up once per configuration (at the grid's first load) and
-     * fork the warm state for every sweep point instead of re-warming
-     * each point from cycle 0 (DESIGN.md §13). Points then measure
-     * their own load on a checkpoint-forked copy; output equals a
-     * from-scratch run that warmed at the same base load bit-for-bit.
-     * A grid mode, not a backend: its output differs from the serial
-     * sweep by design, so only run_load_grid() honours it.
-     */
-    bool fork_warmup = false;
 };
 
 /** The flags a harness accepts beyond --csv (parse_options()). */
@@ -99,8 +89,6 @@ enum BenchFlags : unsigned {
     kClosureFlags = kJobsFlag,
     /** Points are RunItems: every sweep backend flag. */
     kItemFlags = kAllSweepFlags,
-    /** RunItem load grids: the backends plus --fork-warmup. */
-    kGridFlags = kAllSweepFlags | (1u << 8),
 };
 
 /**
@@ -118,20 +106,11 @@ parse_options(int argc, char **argv, BenchFlags accept)
             continue;
         if (a == "--csv") {
             opts.csv = need_value(argc, argv, i);
-        } else if (a == "--fork-warmup" && accept == kGridFlags) {
-            opts.fork_warmup = true;
         } else if (a == "--help" || a == "-h") {
             std::printf("usage: %s [options]\n"
                         "  --csv FILE                save the main sweep "
-                        "as CSV\n%s%s",
-                        argv[0],
-                        accept == kGridFlags
-                            ? "  --fork-warmup             warm up once per "
-                              "configuration and fork the\n"
-                              "                            warm state for "
-                              "every load point (DESIGN.md §13)\n"
-                            : "",
-                        sweep_flags_help(accept).c_str());
+                        "as CSV\n%s",
+                        argv[0], sweep_flags_help(accept).c_str());
             std::exit(0);
         } else {
             std::fprintf(stderr, "%s: unknown option '%s' (try --help)\n",
@@ -139,7 +118,7 @@ parse_options(int argc, char **argv, BenchFlags accept)
             std::exit(kExitUsage);
         }
     }
-    check_sweep_options(opts, opts.fork_warmup);
+    check_sweep_options(opts);
     return opts;
 }
 
@@ -165,43 +144,9 @@ point(const MultiNocConfig &cfg, SyntheticConfig traffic,
 }
 
 /**
- * The --fork-warmup grid: one warm-up per configuration at the grid's
- * first load, then one checkpoint fork per point, each measuring its
- * own load. Forks are fanned out over the execution engine (fork() only
- * reads the warm run, so concurrent forks are safe); results land in
- * point order. Identity contract: grid[c][l] equals a from-scratch run
- * that warmed at loads[0] and measured at loads[l], bit-for-bit — see
- * tests/test_ckpt.cc.
- */
-inline std::vector<std::vector<SyntheticResult>>
-run_load_grid_forked(const std::vector<MultiNocConfig> &configs,
-                     const std::vector<double> &loads,
-                     const SyntheticConfig &traffic, const RunParams &rp,
-                     const BenchOptions &opts)
-{
-    SweepRunner runner(exec_options(opts));
-    std::vector<std::vector<SyntheticResult>> grid(configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        SyntheticConfig base = traffic;
-        base.load = loads.front();
-        SyntheticRun warm(configs[c], base, rp);
-        warm.run_warmup();
-        grid[c] = runner.map<SyntheticResult>(
-            loads.size(), [&warm, &loads](std::size_t l) {
-                auto forked = warm.fork();
-                forked->set_load(loads[l]);
-                return forked->finish();
-            });
-    }
-    return grid;
-}
-
-/**
  * Runs the full |configs| x |loads| cross product through run_sweep()
  * and returns it config-major (grid[c][l]), bit-identical to the nested
- * serial loops this replaces. With --fork-warmup, each configuration
- * warms up once and every point measures on a checkpoint fork of the
- * warm state (see run_load_grid_forked()).
+ * serial loops this replaces.
  */
 inline std::vector<std::vector<SyntheticResult>>
 run_load_grid(const std::vector<MultiNocConfig> &configs,
@@ -209,9 +154,6 @@ run_load_grid(const std::vector<MultiNocConfig> &configs,
               const SyntheticConfig &traffic, const RunParams &rp,
               const BenchOptions &opts)
 {
-    if (opts.fork_warmup)
-        return run_load_grid_forked(configs, loads, traffic, rp, opts);
-
     std::vector<RunItem> items;
     items.reserve(configs.size() * loads.size());
     for (const auto &cfg : configs)

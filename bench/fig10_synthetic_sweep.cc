@@ -18,7 +18,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kGridFlags);
+        bench::parse_options(argc, argv, bench::kItemFlags);
     bench::header("Figure 10: uniform random, power/CSC/throughput/latency"
                   " vs offered load");
 

@@ -35,7 +35,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kGridFlags);
+        bench::parse_options(argc, argv, bench::kItemFlags);
     bench::header("Figure 11: congestion metrics for subnet selection "
                   "and gating (4NT-128b-PG)");
 

@@ -70,26 +70,24 @@
  * per-class contract so drift is a reviewed diff. Annotating a base
  * declaration (`EventSink::on_event`) covers every override.
  *
- * The hot-path cost analysis (rules L9-L11, DESIGN.md §16) adds a
+ * The hot-path analysis (rules L9 and L11, DESIGN.md §16) adds a
  * fourth marker. The per-cycle tick closure — everything reachable
  * from a phase-annotated function or an evaluate/commit entry point —
  * must stay allocation-free, lock-free, I/O-free, and throw-free
- * (rule L9), and is profiled into the checked-in hot-path manifest
- * (rule L10, results/hotpath.json). Some annotated entry points are
- * *slow paths* that run rarely (or outside the measured loop) yet
- * still carry a phase label because they touch committed state under
- * the two-phase discipline: checkpoint Serialize/Deserialize, fault
- * handling, invariant reporting. CATNAP_COLD_PATH declares exactly
- * that: the function (and everything reachable only through it) is
- * pruned from the hot-path closure, so it may allocate, do I/O, or
- * throw without tripping L9 — and it does not pollute the hot-path
- * cost manifest the data-oriented rewrite consumes. The marker is an
- * *assertion of rarity*, not a licence: annotating a genuinely
- * per-cycle function hides real cost, so reviews should treat a new
- * CATNAP_COLD_PATH like a new suppression. Write the markers in the
- * order CATNAP_COLD_PATH, CATNAP_SHARD_SAFE, CATNAP_PHASE_* so L2's
- * declaration check still sees the phase label adjacent to the
- * declarator. Annotating a base declaration covers every override.
+ * (rule L9). Some annotated entry points are *slow paths* that run
+ * rarely (or outside the measured loop) yet still carry a phase label
+ * because they touch committed state under the two-phase discipline:
+ * checkpoint Serialize/Deserialize, fault handling, invariant
+ * reporting. CATNAP_COLD_PATH declares exactly that: the function (and
+ * everything reachable only through it) is pruned from the hot-path
+ * closure, so it may allocate, do I/O, or throw without tripping L9.
+ * The marker is an *assertion of rarity*, not a licence: annotating a
+ * genuinely per-cycle function hides real cost, so reviews should
+ * treat a new CATNAP_COLD_PATH like a new suppression. Write the
+ * markers in the order CATNAP_COLD_PATH, CATNAP_SHARD_SAFE,
+ * CATNAP_PHASE_* so L2's declaration check still sees the phase label
+ * adjacent to the declarator. Annotating a base declaration covers
+ * every override.
  */
 #ifndef CATNAP_COMMON_PHASE_H
 #define CATNAP_COMMON_PHASE_H
@@ -108,7 +106,7 @@
 /** Marks a phase-annotated entry point as a rarely-run slow path
  * (checkpointing, fault handling, reporting): it and everything
  * reachable only through it are pruned from the hot-path closure, so
- * rules L9/L10 ignore it. See the file comment. */
+ * rule L9 ignores it. See the file comment. */
 #define CATNAP_COLD_PATH
 
 #endif // CATNAP_COMMON_PHASE_H

@@ -187,7 +187,7 @@ sweep_flags_help(unsigned accept)
 }
 
 void
-check_sweep_options(const SweepOptions &opts, bool fork_warmup)
+check_sweep_options(const SweepOptions &opts)
 {
     const SweepOptions defaults;
     const bool worker_flags =
@@ -200,10 +200,6 @@ check_sweep_options(const SweepOptions &opts, bool fork_warmup)
     } else if (worker_flags && !opts.isolate) {
         why = "--worker, --scratch, --point-timeout and --point-retries "
               "require --isolate";
-    } else if (fork_warmup && (opts.isolate || !opts.journal.empty())) {
-        why = "--fork-warmup excludes --isolate and --journal (a warm "
-              "in-process fork is neither a worker nor a journalled "
-              "point)";
     }
     if (why != nullptr) {
         std::fprintf(stderr, "%s: %s\n", prog(), why);

@@ -123,11 +123,9 @@ std::string sweep_flags_help(unsigned accept);
 /**
  * The exclusion rules, checked once after parsing; a violation exits
  * kExitUsage. The worker flags need --isolate and --resume needs
- * --journal. The bench harnesses' --fork-warmup grid mode
- * (@p fork_warmup) excludes --isolate and --journal, since a warm
- * in-process fork is neither a worker nor a journalled point.
+ * --journal.
  */
-void check_sweep_options(const SweepOptions &opts, bool fork_warmup = false);
+void check_sweep_options(const SweepOptions &opts);
 
 /** The default worker: catnap_sim next to the running binary, else in
  * ../tools/ (the build-tree layout of the bench harnesses). */

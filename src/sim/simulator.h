@@ -82,17 +82,11 @@ double config_vdd(const MultiNocConfig &cfg, const RunParams &params);
 /**
  * One synthetic experiment as a resumable object: the phases of
  * run_synthetic() split apart so a run can be checkpointed to disk
- * mid-flight, restored, or forked in memory after warm-up
- * (DESIGN.md §13).
+ * mid-flight and restored (DESIGN.md §13).
  *
  * The canonical sequence — construct, run_warmup(), finish() — executes
  * exactly the statements run_synthetic() always ran, in the same order,
  * so results are bit-identical to the historical monolithic path.
- *
- * Warm-up forking: warm one run per configuration, then fork() once per
- * sweep point, set_load(point), and finish() each fork. A fork shares no
- * mutable state with its parent; measuring a fork equals (bit-for-bit)
- * warming a fresh run at the base load and measuring at the point load.
  */
 class SyntheticRun
 {
@@ -109,16 +103,6 @@ class SyntheticRun
      * instead of restarting it.
      */
     SyntheticResult finish();
-
-    /** Changes the offered load (between fork() and finish()). */
-    void set_load(double load);
-
-    /**
-     * In-memory deep copy sharing no mutable state with this run.
-     * Observability hooks (sink/snapshots) are NOT inherited by the
-     * fork: one recorder must never receive two interleaved streams.
-     */
-    std::unique_ptr<SyntheticRun> fork() const;
 
     /**
      * Saves the complete mid-run state (network, traffic generator,

@@ -87,12 +87,6 @@ class SyntheticTraffic
         schedule_ = std::move(schedule);
     }
 
-    /** Changes the constant offered load (a schedule, if installed,
-     * takes precedence). Warm-up forking uses this: a generator warmed
-     * at a base load is forked and each fork measures its own sweep
-     * point's load. */
-    void set_load(double load) { cfg_.load = load; }
-
     /** Records every generated packet (not owned; may be null). */
     void set_recorder(TraceRecorder *recorder) { recorder_ = recorder; }
 

@@ -2,9 +2,8 @@
  * @file
  * Checkpoint subsystem tests (src/ckpt, DESIGN.md §13): container
  * validation (magic/version/hash/truncation/CRC), byte-identical
- * round-trips, fork independence, warm-up-fork == from-scratch
- * bit-identity (empty and non-empty fault plans), and mid-run
- * save/resume identity.
+ * round-trips, fork independence, and mid-run save/resume identity
+ * (empty and non-empty fault plans).
  */
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "app/system.h"
-#include "bench/bench_util.h"
 #include "ckpt/archive.h"
 #include "ckpt/checkpoint.h"
 #include "ckpt/journal.h"
@@ -450,9 +448,9 @@ TEST(CkptNet, FinePortRoundTripRestoresPortFsmMidTraffic)
     EXPECT_EQ(copy.csc_percent(), net.csc_percent());
 }
 
-// -- Warm-up forking == from-scratch (the pinned sweep contract) -----------
+// -- Mid-run save / resume -------------------------------------------------
 
-/** Short fig10-style phases so the pinned sweep stays fast. */
+/** Short fig10-style phases so the resume tests stay fast. */
 RunParams
 short_params()
 {
@@ -463,69 +461,6 @@ short_params()
     rp.seed = 4242;
     return rp;
 }
-
-void
-expect_forked_sweep_identical(const MultiNocConfig &cfg)
-{
-    const std::vector<double> loads = {0.02, 0.10, 0.30};
-    SyntheticConfig traffic;
-    const RunParams rp = short_params();
-
-    // Forked sweep through the real bench helper (--fork-warmup path).
-    bench::BenchOptions opts;
-    opts.fork_warmup = true;
-    opts.jobs = 2;
-    const auto grid =
-        bench::run_load_grid({cfg}, loads, traffic, rp, opts);
-    ASSERT_EQ(grid.size(), 1u);
-    ASSERT_EQ(grid[0].size(), loads.size());
-
-    // Reference: from-scratch runs that warm at the same base load and
-    // measure at the point load.
-    for (std::size_t l = 0; l < loads.size(); ++l) {
-        SyntheticConfig base = traffic;
-        base.load = loads.front();
-        SyntheticRun ref(cfg, base, rp);
-        ref.run_warmup();
-        ref.set_load(loads[l]);
-        const SyntheticResult want = ref.finish();
-        expect_identical(grid[0][l], want);
-    }
-}
-
-TEST(CkptForkWarmup, SweepMatchesFromScratchBitForBit)
-{
-    expect_forked_sweep_identical(test_config());
-}
-
-TEST(CkptForkWarmup, SweepMatchesFromScratchWithFaultPlan)
-{
-    MultiNocConfig cfg = test_config();
-    // Faults landing before AND during measurement; probabilistic
-    // streams active throughout.
-    cfg.fault.lose_wakes(200, 1, 10, 200).kill_router(500, 3, 40);
-    cfg.fault.rcs_glitch_prob = 0.002;
-    cfg.fault.wake_loss_prob = 0.01;
-    expect_forked_sweep_identical(cfg);
-}
-
-TEST(CkptForkWarmup, ForkMeasuresItsOwnLoad)
-{
-    // Identity against a from-scratch run that also calls set_load()
-    // cannot catch a set_load() the generator ignores; the offered rate
-    // can. Warm at a light load, fork, and measure at a heavy one.
-    SyntheticConfig traffic;
-    traffic.load = 0.02;
-    SyntheticRun warm(test_config(), traffic, short_params());
-    warm.run_warmup();
-    std::unique_ptr<SyntheticRun> fork = warm.fork();
-    fork->set_load(0.30);
-    const SyntheticResult r = fork->finish();
-    EXPECT_DOUBLE_EQ(r.offered_load, 0.30);
-    EXPECT_NEAR(r.offered_rate, 0.30, 0.015);
-}
-
-// -- Mid-run save / resume -------------------------------------------------
 
 TEST(CkptResume, WarmupCheckpointReproducesUninterruptedRun)
 {

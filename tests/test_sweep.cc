@@ -151,15 +151,11 @@ TEST(SweepCliDeathTest, ExclusionRulesExitTwo)
                 ::testing::ExitedWithCode(2), "--resume requires --journal");
     EXPECT_EXIT(check_sweep_options(parse({"--isolate", "--resume"})),
                 ::testing::ExitedWithCode(2), "--resume requires --journal");
-    EXPECT_EXIT(check_sweep_options(parse({"--isolate"}), true),
-                ::testing::ExitedWithCode(2), "--fork-warmup excludes");
-    EXPECT_EXIT(check_sweep_options(parse({"--journal", "j"}), true),
-                ::testing::ExitedWithCode(2), "--fork-warmup excludes");
 }
 
 TEST(SweepCli, ValidCombinationsPassTheRules)
 {
-    check_sweep_options(parse({"--jobs", "2"}), true);
+    check_sweep_options(parse({"--jobs", "2"}));
     check_sweep_options(
         parse({"--isolate", "--journal", "j", "--resume", "--scratch", "s"}));
     check_sweep_options(parse({"--journal", "j", "--resume", "--jobs", "4"}));

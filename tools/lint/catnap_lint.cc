@@ -8,16 +8,17 @@
  *   lint_effects.{h,cc}   field-level effect inference (closure)
  *   lint_rules.{h,cc}     L1-L7 rule implementations
  *   lint_manifest.{h,cc}  L8 effects manifest (emit + baseline diff)
- *   lint_cost.{h,cc}      L9 hot-path purity, L10 hot-path manifest
+ *   lint_cost.{h,cc}      L9 hot-path purity
  *   lint_hazard.{h,cc}    L11 determinism hazards
  *
  * The driver parses flags, runs the pipeline (tokenize -> call graph
  * -> effects -> rules), reports violations, and optionally emits SARIF
- * and the effects/hot-path manifests. Exit codes: 0 clean, 1
- * violations found, 2 usage or IO error (including a blown
- * --budget-ms). `--expect RULE` inverts: exit 0 iff at least one
- * violation of RULE was found (fixture tests). `--list-rules` and
- * `--version` print and exit 0.
+ * and the effects manifest. Exit codes: 0 clean, 1 violations found,
+ * 2 usage or IO error (including a rule id the catalog does not have
+ * and a blown --budget-ms). `--expect RULE` inverts: exit 0 iff at
+ * least one violation of RULE was found (fixture tests).
+ * `--list-rules` and `--version` print and exit 0. L10 (a static
+ * hot-path cost manifest) is retired and its id is never reused.
  */
 #include <algorithm>
 #include <chrono>
@@ -77,16 +78,23 @@ rule_table()
          "no dynamic allocation, lock acquisition, I/O, or exception"
          " throws in the tick closure (CATNAP_COLD_PATH opts slow"
          " paths out)"},
-        {"L10", "HotPathCostManifest",
-         "the per-method hot-path cost profile (indirection, virtual"
-         " dispatch, bytes touched) matches the checked-in hot-path"
-         " manifest"},
         {"L11", "DeterminismHazard",
          "no unordered-container iteration, pointer-keyed/ordered"
          " pointers, address-dependent values, or order-dependent"
          " float folds in evaluate-phase code"},
     };
     return kRules;
+}
+
+/** True when @p id names a rule of rule_table(). */
+bool
+known_rule(const std::string &id)
+{
+    const auto &table = rule_table();
+    return std::any_of(table.begin(), table.end(),
+                       [&id](const catnap_tools::SarifRule &r) {
+                           return r.id == id;
+                       });
 }
 
 void
@@ -122,8 +130,6 @@ usage()
         " [--sarif PATH]\n"
         "                   [--effects-out PATH]"
         " [--effects-baseline PATH]\n"
-        "                   [--hotpath-out PATH]"
-        " [--hotpath-baseline PATH]\n"
         "                   [--timing] [--budget-ms N]"
         " [--list-rules] [--version]\n"
         "                   <files-or-dirs>...\n");
@@ -143,14 +149,13 @@ ms_since(std::chrono::steady_clock::time_point t0)
 int
 main(int argc, char **argv)
 {
-    std::set<std::string> rules = {"L1", "L2", "L3", "L4", "L5", "L6",
-                                   "L7", "L8", "L9", "L10", "L11"};
+    std::set<std::string> rules;
+    for (const auto &r : rule_table())
+        rules.insert(r.id);
     std::string expect;
     std::string sarif_path;
     std::string effects_out;
     std::string effects_baseline;
-    std::string hotpath_out;
-    std::string hotpath_baseline;
     bool timing = false;
     long budget_ms = 0;
     std::vector<std::string> files;
@@ -172,10 +177,6 @@ main(int argc, char **argv)
             effects_out = argv[++a];
         } else if (arg == "--effects-baseline" && a + 1 < argc) {
             effects_baseline = argv[++a];
-        } else if (arg == "--hotpath-out" && a + 1 < argc) {
-            hotpath_out = argv[++a];
-        } else if (arg == "--hotpath-baseline" && a + 1 < argc) {
-            hotpath_baseline = argv[++a];
         } else if (arg == "--list-rules") {
             for (const auto &r : rule_table())
                 std::printf("%-4s %-24s %s\n", r.id.c_str(),
@@ -203,6 +204,18 @@ main(int argc, char **argv)
     }
     if (files.empty())
         return usage();
+    std::vector<std::string> named(rules.begin(), rules.end());
+    if (!expect.empty())
+        named.push_back(expect);
+    for (const std::string &id : named) {
+        if (!known_rule(id)) {
+            std::fprintf(stderr,
+                         "catnap_lint: unknown rule '%s' (try"
+                         " --list-rules)\n",
+                         id.c_str());
+            return 2;
+        }
+    }
 
     const auto t_start = std::chrono::steady_clock::now();
 
@@ -220,18 +233,15 @@ main(int argc, char **argv)
     }
     const double ms_tokenize = ms_since(t_start);
 
-    const bool need_hotpath = rules.count("L10") ||
-                              !hotpath_out.empty() ||
-                              !hotpath_baseline.empty();
     const bool need_graph = rules.count("L4") || rules.count("L5") ||
                             rules.count("L6") || rules.count("L7") ||
                             rules.count("L8") || rules.count("L9") ||
-                            rules.count("L11") || need_hotpath ||
+                            rules.count("L11") ||
                             !effects_out.empty() ||
                             !effects_baseline.empty();
     const bool need_effects = rules.count("L6") || rules.count("L7") ||
                               rules.count("L8") ||
-                              rules.count("L11") || need_hotpath ||
+                              rules.count("L11") ||
                               !effects_out.empty() ||
                               !effects_baseline.empty();
 
@@ -295,27 +305,10 @@ main(int argc, char **argv)
     if (rules.count("L7"))
         check_l7(prog, fx, sources, violations);
 
-    std::vector<char> hot;
-    if (rules.count("L9") || need_hotpath)
-        hot = compute_hot_set(prog);
     if (rules.count("L9"))
-        check_l9(prog, hot, sources, violations);
+        check_l9(prog, compute_hot_set(prog), sources, violations);
     if (rules.count("L11"))
         check_l11(prog, fx, sources, violations);
-
-    std::string hotpath;
-    if (need_hotpath)
-        hotpath = build_hotpath_manifest(prog, fx, hot, sources);
-    if (!hotpath_out.empty() &&
-        !write_effects_manifest(hotpath_out, hotpath)) {
-        std::fprintf(stderr,
-                     "catnap_lint: FAILED to write hot-path manifest"
-                     " %s\n",
-                     hotpath_out.c_str());
-        return 2;
-    }
-    if (!hotpath_baseline.empty() && rules.count("L10"))
-        check_l10_baseline(hotpath_baseline, hotpath, violations);
 
     std::string manifest;
     if (need_effects &&

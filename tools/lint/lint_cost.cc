@@ -1,10 +1,6 @@
 #include "lint_cost.h"
 
-#include <algorithm>
-#include <fstream>
-#include <map>
 #include <set>
-#include <sstream>
 
 namespace catnap_lint {
 
@@ -145,180 +141,6 @@ check_l9(const Program &prog, const std::vector<char> &hot,
                     " (common/phase.h)");
         }
     }
-}
-
-namespace {
-
-/** Everything the manifest records about one hot method. Overload
- * sets merge by max metric (and lexicographically-smallest file) so
- * the output is independent of definition order. */
-struct MethodEntry
-{
-    std::string file;
-    int indirection = 0;
-    int virtual_calls = 0;
-    int call_sites = 0;
-    int est_bytes = 0;
-
-    void merge(const MethodEntry &o)
-    {
-        if (file.empty() || (!o.file.empty() && o.file < file))
-            file = o.file;
-        indirection = std::max(indirection, o.indirection);
-        virtual_calls = std::max(virtual_calls, o.virtual_calls);
-        call_sites = std::max(call_sites, o.call_sites);
-        est_bytes = std::max(est_bytes, o.est_bytes);
-    }
-};
-
-/**
- * Maximum `->` chain depth of a body: the longest run of arrow
- * selectors within one postfix expression. Identifiers, `.`/`::`
- * selectors, and index/call closers extend a chain; any other token
- * (statement/argument boundaries, operators) resets it. A static
- * proxy for dependent-load depth — the figure the data-oriented
- * rewrite drives toward zero.
- */
-int
-max_indirection(const std::vector<Token> &t, std::size_t open,
-                std::size_t close)
-{
-    int run = 0, best = 0;
-    for (std::size_t k = open + 1; k < close && k < t.size(); ++k) {
-        const std::string &s = t[k].text;
-        if (s == "->") {
-            best = std::max(best, ++run);
-        } else if (!(is_ident_start(s[0]) || s == "." || s == "::" ||
-                     s == ")" || s == "]")) {
-            run = 0;
-        }
-    }
-    return best;
-}
-
-} // namespace
-
-std::string
-build_hotpath_manifest(const Program &prog, const Effects &fx,
-                       const std::vector<char> &hot,
-                       const std::vector<SourceFile> &sources)
-{
-    // Distinct peer (class, via) pairs per definition, for the bytes
-    // estimate: each crossing touches at least one remote word.
-    std::vector<std::set<std::pair<std::string, std::string>>> peers(
-        prog.defs.size());
-    for (const PeerEdge &e : fx.edges)
-        peers[static_cast<std::size_t>(e.def)].insert({e.cls, e.via});
-
-    std::map<std::string, MethodEntry> methods;
-    for (std::size_t i = 0; i < prog.defs.size(); ++i) {
-        if (!hot[i])
-            continue;
-        const FunctionDef &d = prog.defs[i];
-        if (d.cls.empty())
-            continue; // free helpers show up via their callers
-        const SourceFile &f =
-            sources[static_cast<std::size_t>(d.file)];
-        if (!in_contract_scope(f))
-            continue;
-
-        MethodEntry e;
-        e.file = normalize_path(f.path);
-        e.indirection =
-            max_indirection(f.tokens, d.body_open, d.body_close);
-        e.call_sites = static_cast<int>(d.calls.size());
-        for (const CallSite &cs : d.calls)
-            for (const int ti : resolve_call(prog, d, cs))
-                if (prog.defs[static_cast<std::size_t>(ti)]
-                        .is_virtual) {
-                    ++e.virtual_calls;
-                    break;
-                }
-        // Estimated bytes touched per call: one word per distinct
-        // own-field key, referenced parameter, and peer crossing in
-        // the closed effect summary. A lower bound on working-set
-        // traffic, stable under reordering.
-        std::set<std::string> field_keys(fx.own_reads[i].begin(),
-                                         fx.own_reads[i].end());
-        field_keys.insert(fx.own_writes[i].begin(),
-                          fx.own_writes[i].end());
-        std::set<int> param_keys(fx.param_reads[i].begin(),
-                                 fx.param_reads[i].end());
-        param_keys.insert(fx.param_writes[i].begin(),
-                          fx.param_writes[i].end());
-        e.est_bytes = 8 * static_cast<int>(field_keys.size() +
-                                           param_keys.size() +
-                                           peers[i].size());
-
-        methods[d.cls + "::" + d.name].merge(e);
-    }
-
-    int tot_virtual = 0, tot_calls = 0, tot_bytes = 0, max_ind = 0;
-    for (const auto &[name, e] : methods) {
-        (void)name;
-        tot_virtual += e.virtual_calls;
-        tot_calls += e.call_sites;
-        tot_bytes += e.est_bytes;
-        max_ind = std::max(max_ind, e.indirection);
-    }
-
-    std::ostringstream os;
-    os << "{\n  \"schema\": \"catnap-hotpath-v1\",\n  \"methods\": {";
-    bool first = true;
-    for (const auto &[name, e] : methods) {
-        os << (first ? "" : ",") << "\n    \"" << name << "\": {"
-           << "\"file\": \"" << e.file << "\", "
-           << "\"indirection\": " << e.indirection << ", "
-           << "\"virtual_calls\": " << e.virtual_calls << ", "
-           << "\"call_sites\": " << e.call_sites << ", "
-           << "\"est_bytes_per_call\": " << e.est_bytes << "}";
-        first = false;
-    }
-    if (!first)
-        os << "\n  ";
-    os << "},\n  \"totals\": {\"methods\": " << methods.size()
-       << ", \"call_sites\": " << tot_calls
-       << ", \"virtual_calls\": " << tot_virtual
-       << ", \"est_bytes_per_call\": " << tot_bytes
-       << ", \"max_indirection\": " << max_ind << "}\n}\n";
-    return os.str();
-}
-
-void
-check_l10_baseline(const std::string &baseline_path,
-                   const std::string &json, std::vector<Violation> &out)
-{
-    static const char *kHint =
-        "; regenerate via `catnap_lint --hotpath-out"
-        " results/hotpath.json src` from the repo root and review the"
-        " diff — every hot-path cost change must be a reviewed diff";
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-        out.push_back({baseline_path, 1, "L10",
-                       "hot-path baseline '" + baseline_path +
-                           "' is missing or unreadable" + kHint});
-        return;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string baseline = ss.str();
-    if (baseline == json)
-        return;
-
-    int line = 1;
-    for (std::size_t i = 0;
-         i < baseline.size() && i < json.size() &&
-         baseline[i] == json[i];
-         ++i) {
-        if (baseline[i] == '\n')
-            ++line;
-    }
-    out.push_back(
-        {baseline_path, line, "L10",
-         "hot-path manifest drift: the per-method cost profile no"
-         " longer matches the checked-in baseline (first difference"
-         " at line " +
-             std::to_string(line) + ")" + kHint});
 }
 
 } // namespace catnap_lint

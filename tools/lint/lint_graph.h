@@ -139,7 +139,7 @@ struct FunctionDef
     bool shard_safe = false; ///< CATNAP_SHARD_SAFE (resolved)
     bool cold_path = false;  ///< CATNAP_COLD_PATH (resolved)
     bool is_virtual = false; ///< `virtual` seen or `override`/`final`
-    std::size_t body_open = 0;  ///< body `{` token index (L9-L11)
+    std::size_t body_open = 0;  ///< body `{` token index (L9, L11)
     std::size_t body_close = 0; ///< matching `}` token index
     std::string ret_cls; ///< input-set class named in the return type
     bool writes_members = false; ///< direct own/peer field write (L5)
@@ -268,7 +268,7 @@ bool annot_shard_safe_name(const Program &prog, const std::string &name);
 
 /** True when @p d (or a declaration it overrides, via the class
  * hierarchy) carries CATNAP_COLD_PATH: pruned from the hot-path
- * closure that seeds rules L9/L10 (see lint_cost.h). */
+ * closure that seeds rule L9 (see lint_cost.h). */
 bool resolve_cold_path(const Program &prog, const FunctionDef &d);
 
 /**

@@ -6,21 +6,15 @@
 # cmake -DLINT=<catnap_lint> -DSRC_DIR=<tools/lint> -DRULE=<L4>
 #       -DFIXTURE=<fixtures/x.cc> -DOUT=<build/x.sarif>
 #       -DGOLDEN=<fixtures/golden_x.sarif> -P run_sarif_test.cmake
-#
-# Optional: -DEXTRA_ARGS=<semicolon-list> appends flags to the lint
-# invocation (the L10 golden needs a --hotpath-baseline to drift from).
 
 foreach(var LINT SRC_DIR RULE FIXTURE OUT GOLDEN)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "run_sarif_test.cmake: -D${var}=... is required")
   endif()
 endforeach()
-if(NOT DEFINED EXTRA_ARGS)
-  set(EXTRA_ARGS "")
-endif()
 
 execute_process(
-  COMMAND "${LINT}" --rules "${RULE}" --expect "${RULE}" ${EXTRA_ARGS}
+  COMMAND "${LINT}" --rules "${RULE}" --expect "${RULE}"
           --sarif "${OUT}" "${FIXTURE}"
   WORKING_DIRECTORY "${SRC_DIR}"
   RESULT_VARIABLE lint_rc
