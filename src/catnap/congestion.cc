@@ -46,6 +46,8 @@ CongestionState::CongestionState(const ConcentratedMesh &mesh,
     rcs_latched_.assign(static_cast<std::size_t>(num_subnets) *
                             static_cast<std::size_t>(mesh.num_regions()),
                         false);
+    lcs_count_.assign(static_cast<std::size_t>(num_subnets), 0);
+    rcs_count_.assign(static_cast<std::size_t>(num_subnets), 0);
 }
 
 void
@@ -64,8 +66,15 @@ CongestionState::metric_value(NodeSample &ns, NodeId node, SubnetId s,
     // Router-side metrics work without an NI attached (the model
     // checker's hand-wired world has none); NI-side metrics insist.
     switch (cfg_.metric) {
-      case CongestionMetric::kBufferMax:
-        return static_cast<double>(ns.router->max_port_occupancy());
+      case CongestionMetric::kBufferMax: {
+        // Only compared with the threshold, and no port holds more
+        // flits than the whole router: scan the ports only when the
+        // total is above it.
+        const auto total = static_cast<double>(ns.router->total_occupancy());
+        return total > cfg_.threshold
+                   ? static_cast<double>(ns.router->max_port_occupancy())
+                   : total;
+      }
       case CongestionMetric::kBufferAvg:
         return ns.router->avg_port_occupancy();
       case CongestionMetric::kInjQueueOcc:
@@ -108,23 +117,41 @@ CongestionState::update(Cycle now)
         cfg_.window > 0 &&
         (now % static_cast<Cycle>(cfg_.window)) == 0;
 
+    // A router with no flit reads 0 under the buffer metrics, which
+    // leaves a clear LCS clear unless the threshold is negative; a
+    // retired router holds no flit.
+    const bool skip_retired =
+        live_ &&
+        (cfg_.metric == CongestionMetric::kBufferMax ||
+         cfg_.metric == CongestionMetric::kBufferAvg) &&
+        !(0.0 > cfg_.threshold);
+
     const int nodes = mesh_.num_nodes();
     for (SubnetId s = 0; s < num_subnets_; ++s) {
+        const auto si = static_cast<std::size_t>(s);
+        const std::uint8_t *live =
+            skip_retired ? (*live_)[si].data() : nullptr;
         for (NodeId n = 0; n < nodes; ++n) {
             const auto idx = index(n, s);
+            if (live && !live[n] && !lcs_[idx])
+                continue;
             auto &ns = samples_[idx];
             CATNAP_ASSERT(ns.router,
                           "congestion sample not attached for node ", n,
                           " subnet ", s);
             const double v = metric_value(ns, n, s, window_boundary);
             if (v > cfg_.threshold) {
-                if (sink_ && !lcs_[idx])
-                    sink_->on_event(
-                        {now, EventKind::kLcsSet, n, s, 0, 0, 0});
+                if (!lcs_[idx]) {
+                    ++lcs_count_[si];
+                    if (sink_)
+                        sink_->on_event(
+                            {now, EventKind::kLcsSet, n, s, 0, 0, 0});
+                }
                 lcs_[idx] = true;
                 ns.lcs_set_until = now + static_cast<Cycle>(cfg_.lcs_hold);
-            } else if (now >= ns.lcs_set_until) {
-                if (sink_ && lcs_[idx])
+            } else if (now >= ns.lcs_set_until && lcs_[idx]) {
+                --lcs_count_[si];
+                if (sink_)
                     sink_->on_event(
                         {now, EventKind::kLcsClear, n, s, 0, 0, 0});
                 lcs_[idx] = false;
@@ -148,6 +175,7 @@ CongestionState::update(Cycle now)
                 const auto ridx = region_index(r, s);
                 if (rcs_latched_[ridx] != any) {
                     ++rcs_transitions_;
+                    rcs_count_[static_cast<std::size_t>(s)] += any ? 1 : -1;
                     rcs_latched_[ridx] = any;
                     if (sink_)
                         sink_->on_event({now,
@@ -166,6 +194,7 @@ CongestionState::glitch_rcs_for_fault(int region, SubnetId s, Cycle now)
     const auto ridx = region_index(region, s);
     const bool flipped = !rcs_latched_[ridx];
     rcs_latched_[ridx] = flipped;
+    rcs_count_[static_cast<std::size_t>(s)] += flipped ? 1 : -1;
     ++rcs_transitions_;
     if (sink_)
         sink_->on_event({now,
@@ -205,6 +234,22 @@ CongestionState::Deserialize(ckpt::Reader &r)
     ckpt::take_vec_bool_exact(r, rcs_latched_, "latched RCS bit");
     rcs_transitions_ = r.take_u64();
     rcs_latch_events_ = r.take_u64();
+    recount();
+}
+
+CATNAP_PHASE_WRITE void
+CongestionState::recount()
+{
+    const auto nodes = static_cast<std::size_t>(mesh_.num_nodes());
+    const auto regions = static_cast<std::size_t>(mesh_.num_regions());
+    for (std::size_t s = 0; s < lcs_count_.size(); ++s) {
+        lcs_count_[s] = 0;
+        for (std::size_t n = 0; n < nodes; ++n)
+            lcs_count_[s] += lcs_[s * nodes + n] ? 1 : 0;
+        rcs_count_[s] = 0;
+        for (std::size_t r = 0; r < regions; ++r)
+            rcs_count_[s] += rcs_latched_[s * regions + r] ? 1 : 0;
+    }
 }
 
 } // namespace catnap

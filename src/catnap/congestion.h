@@ -8,6 +8,10 @@
  * into a *regional congestion status* (RCS) latched every rcs_period
  * cycles. The effective congestion signal a node sees for a subnet is
  * LCS || RCS (when the RCS network is enabled).
+ *
+ * The buffer metrics (BFM, BFA) skip a router the gating policy has
+ * retired (set_live()) while its LCS is clear: it holds no flit, so its
+ * LCS would stay clear.
  */
 #ifndef CATNAP_CATNAP_CONGESTION_H
 #define CATNAP_CATNAP_CONGESTION_H
@@ -100,7 +104,16 @@ class CongestionState
     /** Attaches the trace-event sink (null disables emission). */
     void set_sink(EventSink *sink) { sink_ = sink; }
 
-    /** Recomputes LCS for every node and latches RCS on period boundaries. */
+    /** Attaches the gating policy's live bytes ([subnet][node]; see
+     * GatingPolicy::live()). Without them every sample is visited. */
+    void
+    set_live(const std::vector<std::vector<std::uint8_t>> *live)
+    {
+        live_ = live;
+    }
+
+    /** Recomputes LCS for every node (skipping retired routers under
+     * the buffer metrics) and latches RCS on period boundaries. */
     CATNAP_PHASE_WRITE void update(Cycle now);
 
     /**
@@ -149,6 +162,14 @@ class CongestionState
     congested(NodeId node, SubnetId s) const
     {
         return lcs(node, s) || (cfg_.use_rcs && rcs(node, s));
+    }
+
+    /** False when congested() is false for every node of subnet @p s. */
+    bool
+    any_congested(SubnetId s) const
+    {
+        const auto si = static_cast<std::size_t>(s);
+        return lcs_count_[si] > 0 || (cfg_.use_rcs && rcs_count_[si] > 0);
     }
 
     /** Number of 0<->1 transitions of latched RCS bits (OR-net energy). */
@@ -207,13 +228,19 @@ class CongestionState
     double metric_value(NodeSample &ns, NodeId node, SubnetId s,
                         bool window_boundary);
 
+    /** Rebuilds lcs_count_ and rcs_count_ from the bits. */
+    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void recount();
+
     const ConcentratedMesh &mesh_;
     int num_subnets_;
     CongestionConfig cfg_;
     EventSink *sink_ = nullptr;
+    const std::vector<std::vector<std::uint8_t>> *live_ = nullptr;
     std::vector<NodeSample> samples_; // [subnet][node]
     std::vector<bool> lcs_;           // [subnet][node]
     std::vector<bool> rcs_latched_;   // [subnet][region]
+    std::vector<int> lcs_count_;      // [subnet] LCS bits set
+    std::vector<int> rcs_count_;      // [subnet] latched RCS bits set
     std::uint64_t rcs_transitions_ = 0;
     std::uint64_t rcs_latch_events_ = 0;
 };

@@ -23,6 +23,29 @@ gating_kind_name(GatingKind k)
     return "?";
 }
 
+void
+GatingPolicy::attach(SubnetId s, std::vector<Router *> routers)
+{
+    const auto si = static_cast<std::size_t>(s);
+    if (si >= routers_.size()) {
+        routers_.resize(si + 1);
+        live_.resize(si + 1);
+    }
+    routers_[si] = std::move(routers);
+    // Inner vectors keep their storage when live_ grows, so the
+    // pointers handed out stay valid.
+    live_[si].assign(routers_[si].size(), 1);
+    for (std::size_t n = 0; n < routers_[si].size(); ++n)
+        routers_[si][n]->set_live_flag(&live_[si][n]);
+}
+
+void
+GatingPolicy::retire_if_dormant(std::size_t s, std::size_t n, bool gateable)
+{
+    if (!fault_ && routers_[s][n]->dormant(gateable))
+        live_[s][n] = 0;
+}
+
 const GatingPolicy::WakeRetryState &
 GatingPolicy::retry_state(SubnetId s, NodeId n) const
 {
@@ -37,9 +60,11 @@ GatingPolicy::retry_state(SubnetId s, NodeId n) const
 void
 GatingPolicy::service_wake_requests(Cycle now, std::optional<Direction> port)
 {
-    for (auto &subnet : routers_) {
-        for (Router *r : subnet) {
-            if (!r->wake_requested(port))
+    // A wake request sets its router's live byte.
+    for (std::size_t s = 0; s < routers_.size(); ++s) {
+        for (std::size_t n = 0; n < routers_[s].size(); ++n) {
+            Router *r = routers_[s][n];
+            if (!live_[s][n] || !r->wake_requested(port))
                 continue;
             r->clear_wake_request(port);
             if (fault_ && fault_->intercept_wake(r, now))
@@ -111,10 +136,13 @@ void
 AlwaysOnPolicy::step(Cycle now)
 {
     // Routers never sleep; just clear (and implicitly ignore) requests.
-    for (auto &subnet : routers_) {
-        for (Router *r : subnet) {
+    for (std::size_t s = 0; s < routers_.size(); ++s) {
+        for (std::size_t n = 0; n < routers_[s].size(); ++n) {
+            if (!live_[s][n])
+                continue;
+            Router *r = routers_[s][n];
             r->clear_wake_request();
-            r->account_power_cycle();
+            retire_if_dormant(s, n, false);
         }
     }
     (void)now;
@@ -125,15 +153,14 @@ IdleGatingPolicy::step(Cycle now)
 {
     service_wake_requests(now);
     service_wake_retries(now);
-    for (auto &subnet : routers_) {
-        for (Router *r : subnet) {
-            if (r->failed()) {
-                r->account_power_cycle();
+    for (std::size_t s = 0; s < routers_.size(); ++s) {
+        for (std::size_t n = 0; n < routers_[s].size(); ++n) {
+            if (!live_[s][n])
                 continue;
-            }
-            if (r->can_sleep())
+            Router *r = routers_[s][n];
+            if (!r->failed() && r->can_sleep())
                 r->enter_sleep(now);
-            r->account_power_cycle();
+            retire_if_dormant(s, n, true);
         }
     }
 }
@@ -144,14 +171,17 @@ FinePortGatingPolicy::step(Cycle now)
     // Idle gating applied to each input port's domain.
     for (int p = 0; p < kNumPorts; ++p)
         service_wake_requests(now, direction_from_index(p));
-    for (auto &subnet : routers_) {
-        for (Router *r : subnet) {
+    for (std::size_t s = 0; s < routers_.size(); ++s) {
+        for (std::size_t n = 0; n < routers_[s].size(); ++n) {
+            if (!live_[s][n])
+                continue;
+            Router *r = routers_[s][n];
             for (int p = 0; p < kNumPorts; ++p) {
                 const Direction d = direction_from_index(p);
                 if (r->can_sleep(d))
                     r->enter_sleep(now, d);
             }
-            r->account_power_cycle();
+            retire_if_dormant(s, n, true);
         }
     }
 }
@@ -174,44 +204,39 @@ CatnapGatingPolicy::step(Cycle now)
     // (DESIGN.md §10), and the priority chain skips failed subnets.
     const SubnetId promoted = fault_ ? fault_->never_sleep_subnet() : 0;
     for (std::size_t s = 0; s < routers_.size(); ++s) {
-        auto &subnet = routers_[s];
-        for (Router *r : subnet) {
-            if (fault_ && r->failed()) {
-                r->account_power_cycle();
+        const auto sid = static_cast<SubnetId>(s);
+        const SubnetId lower =
+            fault_ ? fault_->health().next_lower_healthy(sid) : sid - 1;
+        // A retired router reacts only to its lower subnet congesting.
+        const bool visit_all =
+            lower != kNoSubnet && congestion_->any_congested(lower);
+        const bool gates = gateable(sid);
+        for (std::size_t n = 0; n < routers_[s].size(); ++n) {
+            if (!visit_all && !live_[s][n])
                 continue;
-            }
-            if (static_cast<SubnetId>(s) == promoted) {
+            Router *r = routers_[s][n];
+            if (fault_ && r->failed()) {
+                // A dead router takes no part in gating.
+            } else if (sid == promoted) {
                 // The never-sleep subnet is always kept active; a freshly
                 // promoted subnet may still be asleep and must be woken.
                 if (fault_ && r->power_state() == PowerState::kSleep)
                     r->begin_wakeup(now, WakeReason::kRcs);
-                r->account_power_cycle();
-                continue;
+            } else if (promoted != kNoSubnet && lower != kNoSubnet) {
+                // (promoted == kNoSubnet: every subnet failed, nothing
+                // is left to gate.)
+                const bool lower_congested =
+                    congestion_->congested(r->node(), lower);
+                if (r->power_state() == PowerState::kSleep) {
+                    // Wake as soon as the lower-order subnet congests:
+                    // new packets are about to be steered our way.
+                    if (lower_congested)
+                        r->begin_wakeup(now, WakeReason::kRcs);
+                } else if (r->can_sleep() && !lower_congested) {
+                    r->enter_sleep(now);
+                }
             }
-            if (promoted == kNoSubnet) {
-                // Every subnet failed; nothing left to gate.
-                r->account_power_cycle();
-                continue;
-            }
-            const SubnetId lower =
-                fault_ ? fault_->health().next_lower_healthy(
-                             static_cast<SubnetId>(s))
-                       : static_cast<SubnetId>(s) - 1;
-            if (lower == kNoSubnet) {
-                r->account_power_cycle();
-                continue;
-            }
-            const bool lower_congested =
-                congestion_->congested(r->node(), lower);
-            if (r->power_state() == PowerState::kSleep) {
-                // Wake as soon as the lower-order subnet congests: new
-                // packets are about to be steered our way.
-                if (lower_congested)
-                    r->begin_wakeup(now, WakeReason::kRcs);
-            } else if (r->can_sleep() && !lower_congested) {
-                r->enter_sleep(now);
-            }
-            r->account_power_cycle();
+            retire_if_dormant(s, n, gates);
         }
     }
 }
@@ -257,6 +282,13 @@ GatingPolicy::Deserialize(ckpt::Reader &r)
             s.pending_since = r.take_u64();
             s.next_check = r.take_u64();
             s.retries = r.take_i32();
+        }
+    }
+    for (std::size_t s = 0; s < routers_.size(); ++s) {
+        const bool gates = gateable(static_cast<SubnetId>(s));
+        for (std::size_t n = 0; n < routers_[s].size(); ++n) {
+            live_[s][n] = 1;
+            retire_if_dormant(s, n, gates);
         }
     }
 }

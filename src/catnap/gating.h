@@ -7,10 +7,18 @@
  * policy (1) services look-ahead wake requests, (2) performs
  * policy-specific wake-ups (Catnap wakes subnet-h routers when the RCS
  * of subnet h-1 sets), and (3) puts eligible routers to sleep.
+ *
+ * The policy owns the live set: one byte per router, which MultiNoc::tick
+ * and CongestionState::update consult too. A policy visits live routers
+ * only (Catnap also visits all of subnet h while subnet h-1 may be
+ * congested) and retires a router at the end of its visit when it is
+ * Router::dormant(); the router's mailbox calls and power transitions
+ * set its byte again. While a fault plan is engaged no router retires.
  */
 #ifndef CATNAP_CATNAP_GATING_H
 #define CATNAP_CATNAP_GATING_H
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -53,19 +61,24 @@ class GatingPolicy
     virtual ~GatingPolicy() = default;
 
     /**
-     * Registers a router. @p routers is indexed [subnet][node] and every
-     * subnet must register the same number of routers.
+     * Registers the routers of subnet @p s, indexed by node, and hands
+     * each its live byte (initially set). Every subnet must register
+     * the same number of routers.
      */
-    void
-    attach(SubnetId s, std::vector<Router *> routers)
-    {
-        if (static_cast<std::size_t>(s) >= routers_.size())
-            routers_.resize(static_cast<std::size_t>(s) + 1);
-        routers_[static_cast<std::size_t>(s)] = std::move(routers);
-    }
+    void attach(SubnetId s, std::vector<Router *> routers);
 
     /** Runs one policy step (the per-cycle policy phase). */
     CATNAP_PHASE_WRITE virtual void step(Cycle now) = 0;
+
+    /** True if the policy may ever put a router of subnet @p s to sleep
+     * (see Router::dormant()). */
+    virtual bool gateable(SubnetId s) const = 0;
+
+    /** The live byte of every attached router, [subnet][node]. */
+    const std::vector<std::vector<std::uint8_t>> &live() const
+    {
+        return live_;
+    }
 
     /**
      * Enables the fault model (src/fault; DESIGN.md §10): look-ahead
@@ -104,10 +117,18 @@ class GatingPolicy
      */
     CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;
 
-    /** Restores what Serialize() wrote. */
+    /** Restores what Serialize() wrote, and rebuilds each live byte as
+     * !dormant(), which is what it is between ticks. Call after the
+     * routers are restored. */
     CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
 
   protected:
+    /** Clears the live byte of router @p n of subnet @p s if it is
+     * dormant (never while a fault plan is engaged); @p gateable is
+     * gateable(s). */
+    CATNAP_PHASE_WRITE void retire_if_dormant(std::size_t s, std::size_t n,
+                                              bool gateable);
+
     /** Services wake requests for every attached router's own domain,
      * or for the domain gating input @p port (fine-grained gating). */
     CATNAP_PHASE_WRITE void
@@ -118,6 +139,7 @@ class GatingPolicy
     CATNAP_PHASE_WRITE void service_wake_retries(Cycle now);
 
     std::vector<std::vector<Router *>> routers_; // [subnet][node]
+    std::vector<std::vector<std::uint8_t>> live_; // [subnet][node]
     WakeFaultModel *fault_ = nullptr;
     std::vector<std::vector<WakeRetryState>> retry_; // [subnet][node]
 };
@@ -127,6 +149,7 @@ class AlwaysOnPolicy final : public GatingPolicy
 {
   public:
     void step(Cycle now) override;
+    bool gateable(SubnetId) const override { return false; }
 };
 
 /**
@@ -139,6 +162,7 @@ class IdleGatingPolicy final : public GatingPolicy
 {
   public:
     void step(Cycle now) override;
+    bool gateable(SubnetId) const override { return true; }
 };
 
 /**
@@ -150,6 +174,7 @@ class FinePortGatingPolicy final : public GatingPolicy
 {
   public:
     void step(Cycle now) override;
+    bool gateable(SubnetId) const override { return true; }
 };
 
 /**
@@ -169,6 +194,7 @@ class CatnapGatingPolicy final : public GatingPolicy
                        const CongestionState *congestion);
 
     void step(Cycle now) override;
+    bool gateable(SubnetId s) const override { return s != 0; }
 
   private:
     const ConcentratedMesh &mesh_;

@@ -137,7 +137,7 @@ FaultController::fail_subnet(SubnetId s, NodeId root, Cycle now)
     std::vector<PacketDesc> lost_slots;
     const int nodes = noc_->num_nodes();
     for (NodeId n = 0; n < nodes; ++n)
-        noc_->router(s, n).fail(&dropped);
+        noc_->router(s, n).fail(&dropped, now);
     for (NodeId n = 0; n < nodes; ++n)
         noc_->ni(n).purge_subnet(s, &dropped, &lost_slots);
     noc_->metrics().note_dropped_flits(dropped.size());

@@ -130,6 +130,7 @@ MultiNoc::MultiNoc(const MultiNocConfig &cfg)
                                    [static_cast<std::size_t>(n)].get());
         gating_->attach(s, std::move(ptrs));
     }
+    congestion_.set_live(&gating_->live());
 
     // Fault injection (DESIGN.md §10). Only constructed for non-empty
     // plans so the fault-free configuration stays bit-identical.
@@ -179,17 +180,26 @@ MultiNoc::tick()
     if (fault_)
         fault_->pre_cycle(now);
 
+    // Phases 1 and 2 visit live routers only: a dormant router buffers
+    // nothing, so its evaluate would return at once and its commit
+    // would only extend its idle streak (caught up at its next commit).
+    const std::vector<std::vector<std::uint8_t>> &live = gating_->live();
+
     // Phase 1: evaluate (reads only state committed in earlier cycles).
-    for (auto &subnet : routers_)
-        for (auto &r : subnet)
-            r->evaluate(now);
+    for (std::size_t s = 0; s < routers_.size(); ++s)
+        for (std::size_t n = 0; n < routers_[s].size(); ++n)
+            if (live[s][n])
+                routers_[s][n]->evaluate(now);
     for (auto &ni : nis_)
         ni->evaluate(now);
 
-    // Phase 2: commit queued effects.
-    for (auto &subnet : routers_)
-        for (auto &r : subnet)
-            r->commit(now);
+    // Phase 2: commit queued effects. A router made live after its own
+    // slot is first committed next cycle; commit reads neither the wake
+    // flag nor the announced-packet count that woke it.
+    for (std::size_t s = 0; s < routers_.size(); ++s)
+        for (std::size_t n = 0; n < routers_[s].size(); ++n)
+            if (live[s][n])
+                routers_[s][n]->commit(now);
     for (auto &ni : nis_)
         ni->commit(now);
 
@@ -232,7 +242,7 @@ MultiNoc::subnet_activity(SubnetId s) const
 {
     ActivityCounters total;
     for (const auto &r : routers_[static_cast<std::size_t>(s)])
-        total.add(r->activity());
+        total.add(r->activity(now_));
     return total;
 }
 
@@ -277,7 +287,7 @@ MultiNoc::Serialize(ckpt::Writer &w) const
     congestion_.Serialize(w);
     for (const auto &subnet : routers_)
         for (const auto &r : subnet)
-            r->Serialize(w);
+            r->Serialize(w, now_);
     for (const auto &ni : nis_)
         ni->Serialize(w);
     selector_->Serialize(w);
@@ -296,7 +306,7 @@ MultiNoc::Deserialize(ckpt::Reader &r)
     congestion_.Deserialize(r);
     for (auto &subnet : routers_)
         for (auto &router : subnet)
-            router->Deserialize(r);
+            router->Deserialize(r, now_);
     for (auto &ni : nis_)
         ni->Deserialize(r);
     selector_->Deserialize(r);

@@ -42,6 +42,8 @@ class PowerDomain
   public:
     PowerState state() const { return state_; }
     Cycle wake_done() const { return wake_done_; }
+    /** When the open sleep period began (meaningful while asleep). */
+    Cycle sleep_start() const { return sleep_start_; }
     int idle_streak() const { return idle_streak_; }
     int expected() const { return expected_; }
     bool wake_requested() const { return wake_requested_; }
@@ -92,6 +94,23 @@ class PowerDomain
             idle_streak_ = 0;
         else if (idle_streak_ < std::numeric_limits<int>::max())
             ++idle_streak_;
+    }
+
+    /** The idle streak after @p skipped more empty cycles (saturating). */
+    int
+    idle_streak_after(Cycle skipped) const
+    {
+        const Cycle streak = std::min<Cycle>(
+            static_cast<Cycle>(idle_streak_) + skipped,
+            static_cast<Cycle>(std::numeric_limits<int>::max()));
+        return static_cast<int>(streak);
+    }
+
+    /** Extends the idle streak by @p skipped empty cycles (saturating). */
+    CATNAP_PHASE_WRITE void
+    add_idle(Cycle skipped)
+    {
+        idle_streak_ = idle_streak_after(skipped);
     }
 
     /** Active -> Sleep at @p now. */
@@ -164,9 +183,12 @@ class PowerDomain
      * this type and order their last three fields differently. */
     enum class CkptOrder { kRouter, kPort };
 
+    /** Writes the domain with @p idle_skipped empty cycles added to its
+     * idle streak (its owner's commits skipped since the last one). */
     CATNAP_COLD_PATH CATNAP_PHASE_READ void
-    Serialize(ckpt::Writer &w, CkptOrder order) const
+    Serialize(ckpt::Writer &w, CkptOrder order, Cycle idle_skipped = 0) const
     {
+        const int idle_streak = idle_streak_after(idle_skipped);
         w.put_i32(static_cast<int>(state_));
         w.put_u64(wake_done_);
         w.put_u64(sleep_start_);
@@ -175,9 +197,9 @@ class PowerDomain
         if (order == CkptOrder::kRouter) {
             w.put_bool(wake_requested_);
             w.put_i32(expected_);
-            w.put_i32(idle_streak_);
+            w.put_i32(idle_streak);
         } else {
-            w.put_i32(idle_streak_);
+            w.put_i32(idle_streak);
             w.put_i32(expected_);
             w.put_bool(wake_requested_);
         }

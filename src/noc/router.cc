@@ -274,12 +274,14 @@ Router::run_switch_allocation(Cycle now)
 void
 Router::deliver_flit(const Flit &flit, Direction inport, Cycle ready)
 {
+    mark_live();
     arrivals_.push_back(Arrival{ready, inport, flit});
 }
 
 void
 Router::deliver_credit(Direction port, VcId vc, Cycle ready)
 {
+    mark_live();
     credit_events_.push_back(CreditEvent{ready, port, vc});
 }
 
@@ -288,6 +290,11 @@ Router::commit(Cycle now)
 {
     if (failed_)
         return; // a dead router has no queued effects and no FSM to run
+    // Each commit skipped while dormant found the buffers empty.
+    CATNAP_ASSERT(now >= next_commit_, "router committed twice in cycle ",
+                  now);
+    power_.add_idle(now - next_commit_);
+    next_commit_ = now + 1;
     // Advance the power FSMs before accepting arrivals so a wake-up
     // that completes this cycle can receive the flit timed to land now.
     if (power_.complete_wake(now) && sink_)
@@ -380,6 +387,19 @@ Router::apply_credits(Cycle now)
 }
 
 bool
+Router::dormant(bool gateable) const
+{
+    if (failed_ || params_.port_gating || total_buffered_ != 0 ||
+        !arrivals_.empty() || !credit_events_.empty() ||
+        power_.wake_requested() || power_.expected() != 0 ||
+        power_.idle_streak() < params_.t_idle_detect) {
+        return false;
+    }
+    return power_.state() == PowerState::kSleep ||
+           (!gateable && power_.state() == PowerState::kActive);
+}
+
+bool
 Router::can_sleep(std::optional<Direction> port) const
 {
     if (failed_ || power_state(port) != PowerState::kActive)
@@ -410,6 +430,7 @@ Router::can_sleep(std::optional<Direction> port) const
 void
 Router::enter_sleep(Cycle now, std::optional<Direction> port)
 {
+    mark_live();
     domain(port).sleep(now);
     if (!router_level(port)) {
         ++activity_.port_sleep_transitions;
@@ -427,12 +448,18 @@ void
 Router::begin_wakeup(Cycle now, WakeReason reason,
                      std::optional<Direction> port)
 {
+    mark_live();
     if (failed_ || power_state(port) != PowerState::kSleep)
         return;
     // A wake-stuck fault arms a wake that never matures; only a retry
     // escalation or hard failure ends it.
     const Cycle done =
         wake_stuck_ ? kNoCycle : now + static_cast<Cycle>(params_.t_wakeup);
+    const Cycle slept = now - domain(port).sleep_start();
+    if (router_level(port))
+        activity_.sleep_cycles += slept;
+    else
+        activity_.port_sleep_cycles += slept;
     credit_sleep(port, domain(port).wake(now, done, params_.t_breakeven));
     if (sink_ && router_level(port))
         sink_->on_event({now, EventKind::kRouterWakeBegin, node_, subnet_,
@@ -455,6 +482,7 @@ Router::credit_sleep(std::optional<Direction> port, SleepCredit c)
 void
 Router::retry_wakeup(Cycle now)
 {
+    mark_live();
     if (failed_ || power_.state() != PowerState::kWakeup)
         return;
     // A stuck wake is re-asserted and hangs again; a healthy one
@@ -464,8 +492,9 @@ Router::retry_wakeup(Cycle now)
 }
 
 void
-Router::fail(std::vector<Flit> *dropped)
+Router::fail(std::vector<Flit> *dropped, Cycle now)
 {
+    mark_live();
     if (failed_)
         return;
     for (auto &fifo : fifos_) {
@@ -491,6 +520,11 @@ Router::fail(std::vector<Flit> *dropped)
                                         : 0;
         }
     }
+    // Settle an open sleep period: from now on the router's death is
+    // counted as sleep instead.
+    if (power_.state() == PowerState::kSleep)
+        activity_.sleep_cycles += now - power_.sleep_start();
+    failed_at_ = now;
     // Leave kActive behind so no invariant sees an impossible FSM edge;
     // failed() short-circuits every service path from here on.
     power_.abandon();
@@ -508,19 +542,36 @@ Router::flush_sleep_accounting(Cycle now)
         }
 }
 
-void
-Router::account_power_cycle()
+Cycle
+Router::open_sleep_cycles(Cycle now) const
 {
     // A dead router draws nothing worth modelling; count it with the
     // gated cycles so power totals reflect the lost capacity.
-    if (failed_ || power_.state() == PowerState::kSleep)
-        ++activity_.sleep_cycles;
-    else
-        ++activity_.active_cycles;
+    if (failed_)
+        return now - failed_at_;
+    return power_.state() == PowerState::kSleep ? now - power_.sleep_start()
+                                                : 0;
+}
+
+Cycle
+Router::open_port_sleep_cycles(Cycle now) const
+{
+    Cycle total = 0;
     if (params_.port_gating)
         for (const auto &pd : ports_)
             if (pd.state() == PowerState::kSleep)
-                ++activity_.port_sleep_cycles;
+                total += now - pd.sleep_start();
+    return total;
+}
+
+ActivityCounters
+Router::activity(Cycle now) const
+{
+    ActivityCounters a = activity_;
+    a.sleep_cycles += open_sleep_cycles(now);
+    a.active_cycles = now - a.sleep_cycles;
+    a.port_sleep_cycles += open_port_sleep_cycles(now);
+    return a;
 }
 
 int
@@ -623,7 +674,7 @@ Router::arrival_lag_histogram(Direction inport, Cycle now,
 }
 
 CATNAP_PHASE_READ void
-Router::Serialize(ckpt::Writer &w) const
+Router::Serialize(ckpt::Writer &w, Cycle now) const
 {
     w.put_u64(fifos_.size());
     for (const RingFifo<Flit> &f : fifos_)
@@ -657,7 +708,10 @@ Router::Serialize(ckpt::Writer &w) const
         w.put_i32(c.vc);
     }
 
-    power_.Serialize(w, PowerDomain::CkptOrder::kRouter);
+    // The image holds the idle streak as a commit at every cycle leaves
+    // it (a failed router's stays frozen).
+    power_.Serialize(w, PowerDomain::CkptOrder::kRouter,
+                     failed_ ? 0 : now - next_commit_);
     w.put_bool(failed_);
     w.put_bool(wake_stuck_);
     w.put_i32(total_buffered_);
@@ -666,11 +720,11 @@ Router::Serialize(ckpt::Writer &w) const
 
     w.put_u64(head_block_cycles_);
     w.put_u64(switched_flits_);
-    activity_.Serialize(w);
+    activity(now).Serialize(w);
 }
 
 CATNAP_PHASE_WRITE void
-Router::Deserialize(ckpt::Reader &r)
+Router::Deserialize(ckpt::Reader &r, Cycle now)
 {
     ckpt::take_count_exact(r, fifos_.size(), "router input FIFO");
     for (RingFifo<Flit> &f : fifos_)
@@ -714,6 +768,15 @@ Router::Deserialize(ckpt::Reader &r)
     head_block_cycles_ = r.take_u64();
     switched_flits_ = r.take_u64();
     activity_.Deserialize(r);
+
+    // Back to the settled form: the open periods are derived from
+    // timestamps (a failed router's death is restarted at now), and
+    // the image's streak is current as of now.
+    failed_at_ = now;
+    next_commit_ = now;
+    activity_.sleep_cycles -= open_sleep_cycles(now);
+    activity_.port_sleep_cycles -= open_port_sleep_cycles(now);
+    activity_.active_cycles = 0;
 }
 
 } // namespace catnap

@@ -13,12 +13,17 @@
  * t + st_delay + link_delay (3-cycle per-hop latency with the default
  * 1+1+1 parameters, matching a 2-stage router plus a 1-cycle link).
  *
- * Simulation discipline: each cycle runs three phases over all routers —
- * evaluate() (reads only state committed in previous cycles; queues
- * effects), commit() (applies queued arrivals/credits, completes wake-ups
- * and tracks idleness), and a policy phase owned by the gating policy
- * (wake/sleep transitions). This two-phase-plus-policy structure makes
- * results independent of router iteration order.
+ * Simulation discipline: each cycle runs three phases over the live
+ * routers (GatingPolicy::live()) — evaluate() (reads only state
+ * committed in previous cycles; queues effects), commit() (applies
+ * queued arrivals/credits, completes wake-ups and tracks idleness), and
+ * a policy phase owned by the gating policy (wake/sleep transitions).
+ * This two-phase-plus-policy structure makes results independent of
+ * router iteration order. A router leaves the live set when dormant():
+ * a visit would then change nothing but its cycle counts. Every mailbox
+ * call and power transition brings it back. The cycles it skipped are
+ * derived from timestamps: power residency from its sleep periods
+ * (activity()), and the idle streak at its next commit() or Serialize().
  */
 #ifndef CATNAP_NOC_ROUTER_H
 #define CATNAP_NOC_ROUTER_H
@@ -96,8 +101,37 @@ class Router
     /** Phase 1: VC allocation + switch allocation + traversal decisions. */
     CATNAP_PHASE_READ void evaluate(Cycle now);
 
-    /** Phase 2: apply queued arrivals and credits; advance power FSM. */
+    /** Phase 2: apply queued arrivals and credits; advance power FSM.
+     * Commits skipped since the last one count as empty cycles. */
     CATNAP_PHASE_WRITE void commit(Cycle now);
+
+    // ------------------------------------------------------------------
+    // Live set (owned by the gating policy; see the file comment)
+    // ------------------------------------------------------------------
+
+    /** Points the router at its live byte (the gating policy's). */
+    void set_live_flag(std::uint8_t *flag) { live_ = flag; }
+
+    /** Sets the live byte. Only ever sets it, so the write is
+     * order-independent like the other mailboxes. */
+    CATNAP_SHARD_SAFE CATNAP_PHASE_READ void
+    mark_live()
+    {
+        if (live_)
+            *live_ = 1;
+    }
+
+    /** True unless the gating policy has retired the router. */
+    bool live() const { return !live_ || *live_ != 0; }
+
+    /**
+     * True when a tick would change nothing but the router's cycle
+     * counts: it works, port gating is off, nothing is buffered or
+     * inbound, no wake is requested, its idle streak has reached
+     * t_idle_detect, and it is asleep, or Active when its policy never
+     * gates it (@p gateable false).
+     */
+    bool dormant(bool gateable) const;
 
     // ------------------------------------------------------------------
     // Upstream-facing interface (called by neighbours / the NI)
@@ -122,7 +156,11 @@ class Router
      * wake @p inport's domain in the current cycle's policy phase.
      */
     CATNAP_SHARD_SAFE CATNAP_PHASE_READ void
-    request_wakeup(Direction inport) { domain(inport).request_wake(); }
+    request_wakeup(Direction inport)
+    {
+        mark_live();
+        domain(inport).request_wake();
+    }
 
     /**
      * Announces that a packet head bound for @p inport has been
@@ -131,7 +169,11 @@ class Router
      * to sleep.
      */
     CATNAP_SHARD_SAFE CATNAP_PHASE_READ void
-    note_expected_packet(Direction inport) { domain(inport).expect_packet(); }
+    note_expected_packet(Direction inport)
+    {
+        mark_live();
+        domain(inport).expect_packet();
+    }
 
     /** True if input port @p inport can take a flit arriving at @p arrival. */
     bool
@@ -189,10 +231,6 @@ class Router
     begin_wakeup(Cycle now, WakeReason reason = WakeReason::kLookahead,
                  std::optional<Direction> port = std::nullopt);
 
-    /** Accounts one cycle of residency in the current power state of
-     * every domain. */
-    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void account_power_cycle();
-
     // ------------------------------------------------------------------
     // Fault model (src/fault; DESIGN.md §10)
     // ------------------------------------------------------------------
@@ -205,7 +243,12 @@ class Router
      * arm a wake that never completes (wake_done = kNoCycle), modelling
      * a wake sequence that hangs until the gating layer escalates.
      */
-    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void set_wake_stuck(bool stuck) { wake_stuck_ = stuck; }
+    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void
+    set_wake_stuck(bool stuck)
+    {
+        mark_live();
+        wake_stuck_ = stuck;
+    }
     bool wake_stuck() const { return wake_stuck_; }
 
     /**
@@ -220,10 +263,11 @@ class Router
      * into @p dropped (the fault controller accounts them and notifies
      * the source NIs), all allocation and power state is cleared, and
      * the router permanently refuses service. A failed router holds no
-     * flits and accounts its cycles as sleep (a dead router leaks
-     * nothing the power model should charge for).
+     * flits and accounts its cycles from @p now on as sleep (a dead
+     * router leaks nothing the power model should charge for).
      */
-    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void fail(std::vector<Flit> *dropped);
+    CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void fail(std::vector<Flit> *dropped,
+                                                   Cycle now);
 
     /**
      * Folds every domain's in-progress sleep period into the CSC
@@ -252,7 +296,9 @@ class Router
     /** True if every input buffer is empty. */
     bool buffers_empty() const;
 
-    /** Consecutive cycles (up to now) with all buffers empty. */
+    /** Consecutive cycles with all buffers empty, exact as of the last
+     * commit() (a dormant router's skipped commits are added at its
+     * next one). */
     int idle_streak() const { return power_.idle_streak(); }
 
     /** Cumulative cycles head flits spent blocked (Delay metric input). */
@@ -261,8 +307,10 @@ class Router
     /** Cumulative flits that won switch allocation (Delay metric input). */
     std::uint64_t switched_flits() const { return switched_flits_; }
 
-    /** Activity counters for the power model. */
-    const ActivityCounters &activity() const { return activity_; }
+    /** Activity counters for the power model after @p now cycles (the
+     * router is counted once per cycle from cycle 0: residency is
+     * derived from its sleep periods). */
+    ActivityCounters activity(Cycle now) const;
 
     /** Credits one NI-side flit transfer to this router's activity
      * counters. An order-independent mailbox: the NI bumps its local
@@ -349,15 +397,19 @@ class Router
 
     /**
      * Appends every data member that evolves during simulation (buffers,
-     * allocation state, in-flight events, power FSM, counters). Wiring
-     * (neighbours, NI client, trace sink) and test-only hooks are not
-     * serialized: the MultiNoc constructor rebuilds them on restore.
+     * allocation state, in-flight events, power FSM, counters), with
+     * residency and idle streak settled as of @p now cycles. Wiring
+     * (neighbours, NI client, trace sink, live byte) and test-only hooks
+     * are not serialized: the MultiNoc constructor rebuilds them on
+     * restore.
      */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w) const;
+    CATNAP_COLD_PATH CATNAP_PHASE_READ void Serialize(ckpt::Writer &w,
+                                                      Cycle now) const;
 
-    /** Restores what Serialize() wrote into an identically configured
-     * router. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r);
+    /** Restores what Serialize() wrote at @p now into an identically
+     * configured router. */
+    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void Deserialize(ckpt::Reader &r,
+                                                         Cycle now);
 
   private:
     /** Per-input-VC packet-in-progress state. */
@@ -452,6 +504,13 @@ class Router
     CATNAP_PHASE_WRITE void credit_sleep(std::optional<Direction> port,
                                          SleepCredit c);
 
+    /** Router-level sleep cycles of the open period up to @p now: the
+     * current sleep, or the time since the router failed. */
+    Cycle open_sleep_cycles(Cycle now) const;
+
+    /** Port-cycles of the ports' open sleep periods up to @p now. */
+    Cycle open_port_sleep_cycles(Cycle now) const;
+
     // Power / gating state
     PowerDomain power_; ///< the whole router
     bool failed_ = false;
@@ -460,12 +519,19 @@ class Router
 
     int total_buffered_ = 0;
 
+    std::uint8_t *live_ = nullptr; ///< the gating policy's live byte
+    Cycle next_commit_ = 0; ///< first cycle commit() has not accounted
+    Cycle failed_at_ = 0;   ///< when the router failed (while failed_)
+
     std::array<PowerDomain, kNumPorts> ports_{}; ///< fine-grained gating only
 
     // Delay-metric instrumentation
     std::uint64_t head_block_cycles_ = 0;
     std::uint64_t switched_flits_ = 0;
 
+    /** Event counters; of the residency fields, sleep_cycles and
+     * port_sleep_cycles hold settled periods only and active_cycles
+     * stays 0 (activity() derives all three). */
     ActivityCounters activity_;
 };
 

@@ -23,7 +23,7 @@ PowerMeter::begin()
                    static_cast<std::size_t>(net_.num_nodes()));
     for (SubnetId s = 0; s < net_.num_subnets(); ++s)
         for (NodeId n = 0; n < net_.num_nodes(); ++n)
-            start_.push_back(net_.router(s, n).activity());
+            start_.push_back(net_.router(s, n).activity(net_.now()));
     start_or_transitions_ = net_.congestion().rcs_transitions();
     start_cycle_ = net_.now();
 }
@@ -41,7 +41,8 @@ PowerMeter::compute(bool include_dynamic, bool include_static) const
     std::size_t idx = 0;
     for (SubnetId s = 0; s < net_.num_subnets(); ++s) {
         for (NodeId n = 0; n < net_.num_nodes(); ++n, ++idx) {
-            ActivityCounters a = net_.router(s, n).activity();
+            const ActivityCounters a =
+                net_.router(s, n).activity(net_.now());
             const ActivityCounters &b = start_[idx];
 
             if (include_dynamic) {
@@ -138,7 +139,8 @@ PowerMeter::csc_percent() const
     std::size_t idx = 0;
     for (SubnetId s = 0; s < net_.num_subnets(); ++s) {
         for (NodeId n = 0; n < net_.num_nodes(); ++n, ++idx) {
-            const ActivityCounters &a = net_.router(s, n).activity();
+            const ActivityCounters a =
+                net_.router(s, n).activity(net_.now());
             const ActivityCounters &b = start_[idx];
             csc += a.compensated_sleep_cycles - b.compensated_sleep_cycles;
             // Port-cycles convert to router-cycle equivalents at 1/5

@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "noc/multinoc.h"
 #include "test_util.h"
 #include "traffic/synthetic.h"
@@ -142,8 +145,8 @@ TEST(Gating, ThrashingYieldsNegativeCsc)
         net.tick();
     }
     net.finalize_accounting();
-    const auto &r0 = net.router(0, 0).activity();
-    const auto &r1 = net.router(0, 1).activity();
+    const ActivityCounters r0 = net.router(0, 0).activity(net.now());
+    const ActivityCounters r1 = net.router(0, 1).activity(net.now());
     EXPECT_GT(r0.sleep_transitions + r1.sleep_transitions, 40u);
     // Each sleep period on the thrashed route lasts well under 18 cycles
     // once idle-detect and wake-up are subtracted, so after the 12-cycle
@@ -154,7 +157,7 @@ TEST(Gating, ThrashingYieldsNegativeCsc)
     idle.finalize_accounting();
     const double idle_per_router =
         static_cast<double>(
-            idle.router(0, 0).activity().compensated_sleep_cycles);
+            idle.router(0, 0).activity(idle.now()).compensated_sleep_cycles);
     const double thrashed =
         static_cast<double>(r0.compensated_sleep_cycles +
                             r1.compensated_sleep_cycles) / 2.0;
@@ -238,6 +241,76 @@ TEST(Gating, ExpectedPacketBlocksSleep)
     net.run(100);
     // Still active: the announced packet never arrived.
     EXPECT_EQ(net.router(0, 1).power_state(), PowerState::kActive);
+}
+
+TEST(Gating, ResidencyMatchesPerCycleObservation)
+{
+    // Residency is derived from sleep-period timestamps; it must equal a
+    // tally of the power states observed after every tick, including
+    // cycles with a transition and a router's death.
+    struct Case
+    {
+        std::string name;
+        MultiNocConfig cfg;
+        double load;
+    };
+    std::vector<Case> cases;
+    for (const GatingKind kind :
+         {GatingKind::kAlwaysOn, GatingKind::kIdle, GatingKind::kCatnap})
+        for (const double load : {0.05, 0.25})
+            cases.push_back(
+                {gating_kind_name(kind), multi_noc_config(4, kind), load});
+    MultiNocConfig killed = multi_noc_config(4, GatingKind::kCatnap);
+    killed.fault.kill_router(1500, 2, 9);
+    cases.push_back({"CatnapGate with a kill", killed, 0.05});
+    cases.push_back(
+        {"FinePortGate", single_noc_config(512, GatingKind::kFinePort), 0.05});
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name + " at load " + std::to_string(c.load));
+        MultiNoc net(c.cfg);
+        SyntheticConfig traffic;
+        traffic.load = c.load;
+        SyntheticTraffic gen(&net, traffic, 29);
+        const bool port_gating = net.subnet_params().port_gating;
+        const auto routers = static_cast<std::size_t>(net.num_subnets()) *
+                             static_cast<std::size_t>(net.num_nodes());
+        std::vector<std::uint64_t> asleep(routers, 0);
+        std::vector<std::uint64_t> ports_asleep(routers, 0);
+        for (Cycle t = 0; t < 3000; ++t) {
+            gen.step(net.now());
+            net.tick();
+            std::size_t i = 0;
+            for (SubnetId s = 0; s < net.num_subnets(); ++s) {
+                for (NodeId n = 0; n < net.num_nodes(); ++n, ++i) {
+                    const Router &r = net.router(s, n);
+                    asleep[i] += r.failed() ||
+                                 r.power_state() == PowerState::kSleep;
+                    for (int p = 0; port_gating && p < kNumPorts; ++p)
+                        ports_asleep[i] +=
+                            r.power_state(direction_from_index(p)) ==
+                            PowerState::kSleep;
+                }
+            }
+        }
+        if (!c.cfg.fault.empty()) {
+            EXPECT_TRUE(net.router(2, 9).failed());
+        }
+
+        const Cycle now = net.now();
+        std::size_t i = 0;
+        for (SubnetId s = 0; s < net.num_subnets(); ++s) {
+            for (NodeId n = 0; n < net.num_nodes(); ++n, ++i) {
+                const ActivityCounters a = net.router(s, n).activity(now);
+                EXPECT_EQ(a.sleep_cycles, asleep[i]) << "subnet " << s
+                                                     << " node " << n;
+                EXPECT_EQ(a.active_cycles, now - asleep[i])
+                    << "subnet " << s << " node " << n;
+                EXPECT_EQ(a.port_sleep_cycles, ports_asleep[i])
+                    << "subnet " << s << " node " << n;
+            }
+        }
+    }
 }
 
 TEST(Gating, SleepFractionTracksLoad)

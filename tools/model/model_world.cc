@@ -300,6 +300,9 @@ ModelWorld::apply_event(const ModelEvent &ev)
             const Router &r = *routers_[si][ni];
             const PowerState cur = r.power_state();
             const PowerState prev = prev_state_[si][ni];
+            // This step ends cycle now_, so now_ + 1 cycles have run.
+            const std::int64_t csc =
+                r.activity(now_ + 1).compensated_sleep_cycles;
             if (prev != PowerState::kSleep && cur == PowerState::kSleep)
                 shadow_sleep_start_[si][ni] = now_;
             if (!r.failed() && prev == PowerState::kSleep &&
@@ -308,9 +311,7 @@ ModelWorld::apply_event(const ModelEvent &ev)
                     now_ - shadow_sleep_start_[si][ni]);
                 const std::int64_t expected = std::max<std::int64_t>(
                     0, period - params_.t_breakeven);
-                const std::int64_t actual =
-                    r.activity().compensated_sleep_cycles -
-                    prev_csc_[si][ni];
+                const std::int64_t actual = csc - prev_csc_[si][ni];
                 if (actual != expected) {
                     accounting_error_ = true;
                     accounting_detail_ =
@@ -321,7 +322,7 @@ ModelWorld::apply_event(const ModelEvent &ev)
                         std::to_string(expected) + ")";
                 }
             }
-            prev_csc_[si][ni] = r.activity().compensated_sleep_cycles;
+            prev_csc_[si][ni] = csc;
             prev_state_[si][ni] = cur;
         }
     }
@@ -370,7 +371,7 @@ ModelWorld::fail_subnet(SubnetId s, NodeId root, Cycle now)
     const auto si = static_cast<std::size_t>(s);
     std::vector<Flit> dropped;
     for (auto &r : routers_[si])
-        r->fail(&dropped);
+        r->fail(&dropped, now);
     for (auto &sl : slots_) {
         if (sl.subnet == s)
             sl.phase = SlotPhase::kIdle;
