@@ -128,7 +128,7 @@ CoreModel::Deserialize(ckpt::Reader &r)
     retired_ = r.take_u64();
     outstanding_ = r.take_i32();
     gap_ = r.take_u64();
-    miss_issue_points_.resize(static_cast<std::size_t>(r.take_u64()));
+    miss_issue_points_.resize(r.take_count());
     for (std::uint64_t &p : miss_issue_points_)
         p = r.take_u64();
     quiet_ = r.take_bool();

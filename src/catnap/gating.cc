@@ -275,9 +275,9 @@ GatingPolicy::Serialize(ckpt::Writer &w) const
 CATNAP_PHASE_WRITE void
 GatingPolicy::Deserialize(ckpt::Reader &r)
 {
-    retry_.resize(static_cast<std::size_t>(r.take_u64()));
+    retry_.resize(r.take_count());
     for (std::vector<WakeRetryState> &per_subnet : retry_) {
-        per_subnet.resize(static_cast<std::size_t>(r.take_u64()));
+        per_subnet.resize(r.take_count());
         for (WakeRetryState &s : per_subnet) {
             s.pending_since = r.take_u64();
             s.next_check = r.take_u64();

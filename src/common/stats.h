@@ -168,7 +168,7 @@ class Histogram
     Deserialize(ckpt::Reader &r)
     {
         width_ = r.take_double();
-        counts_.assign(static_cast<std::size_t>(r.take_u64()), 0);
+        counts_.assign(r.take_count(), 0);
         for (std::uint64_t &c : counts_)
             c = r.take_u64();
         total_ = r.take_u64();
@@ -238,7 +238,7 @@ class WindowedSeries
         window_ = r.take_u64();
         next_index_ = r.take_u64();
         current_ = r.take_double();
-        samples_.assign(static_cast<std::size_t>(r.take_u64()), 0.0);
+        samples_.assign(r.take_count(), 0.0);
         for (double &s : samples_)
             s = r.take_double();
     }

@@ -295,7 +295,7 @@ FaultController::Deserialize(ckpt::Reader &r)
             "checkpoint: fault timeline cursor beyond plan length — the "
             "checkpoint was taken against a different fault plan");
 
-    windows_.resize(static_cast<std::size_t>(r.take_u64()));
+    windows_.resize(r.take_count());
     for (WakeWindow &win : windows_) {
         win.from = r.take_u64();
         win.until = r.take_u64();
@@ -305,7 +305,7 @@ FaultController::Deserialize(ckpt::Reader &r)
         win.delay_by = r.take_u64();
     }
 
-    delayed_.resize(static_cast<std::size_t>(r.take_u64()));
+    delayed_.resize(r.take_count());
     for (DelayedWake &d : delayed_) {
         d.fire_at = r.take_u64();
         d.subnet = r.take_i32();
