@@ -315,7 +315,7 @@ CmpSystem::Serialize(ckpt::Writer &w) const
     while (!copy.empty()) {
         const DeferredSend &d = copy.top();
         w.put_u64(d.ready);
-        ckpt::put_packet(w, d.pkt);
+        ckpt::put(w, d.pkt);
         copy.pop();
     }
 }
@@ -343,7 +343,7 @@ CmpSystem::Deserialize(ckpt::Reader &r)
     for (std::uint64_t i = 0; i < num_pending; ++i) {
         DeferredSend d;
         d.ready = r.take_u64();
-        d.pkt = ckpt::take_packet(r);
+        d.pkt = ckpt::take<PacketDesc>(r);
         pending_.push(d);
     }
 }

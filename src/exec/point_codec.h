@@ -17,16 +17,17 @@
  *                                  result file can only be accepted for
  *                                  the exact point that produced it
  *
- * Every field is encoded at full width (doubles by bit pattern), so a
- * result that round-trips through a worker, the journal, or a resume
- * is bit-identical to the in-process value: the merged sweep output is
+ * Both images, the point hash and the config hash walk the one field
+ * list of each type in ckpt/schema.h (ckpt::put, ckpt::take, ckpt::mix),
+ * so the wire order and the hash order cannot drift apart. Every field
+ * is encoded at full width (doubles by bit pattern), so a result that
+ * round-trips through a worker, the journal, or a resume is
+ * bit-identical to the in-process value: the merged sweep output is
  * pinned byte-for-byte equal to an uninterrupted serial run.
  *
  * The same point hash keys the sweep journal (ckpt/journal.h): a
  * journal record written for one point can never be replayed into
  * another, and reordering the sweep grid between runs is harmless.
- *
- * Helpers are free functions, same convention as ckpt/codec.h.
  */
 #ifndef CATNAP_EXEC_POINT_CODEC_H
 #define CATNAP_EXEC_POINT_CODEC_H
@@ -35,42 +36,16 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/archive.h"
 #include "exec/sweep_runner.h"
 #include "sim/simulator.h"
 
 namespace catnap {
 
-/** Appends every MultiNocConfig field (fault plan included). */
-void put_multinoc_config(ckpt::Writer &w, const MultiNocConfig &cfg);
-
-/** Consumes a config written by put_multinoc_config. */
-MultiNocConfig take_multinoc_config(ckpt::Reader &r);
-
-/** Appends a SyntheticConfig field by field. */
-void put_synthetic_config(ckpt::Writer &w, const SyntheticConfig &t);
-
-/** Consumes a SyntheticConfig written by put_synthetic_config. */
-SyntheticConfig take_synthetic_config(ckpt::Reader &r);
-
-/** Appends RunParams (observability hooks excluded: a worker always
- * runs unobserved, since tracing records one run, not a sweep). */
-void put_run_params(ckpt::Writer &w, const RunParams &p);
-
-/** Consumes RunParams written by put_run_params (sink/snapshots null). */
-RunParams take_run_params(ckpt::Reader &r);
-
-/** Appends a SyntheticResult field by field (doubles by bit pattern). */
-void put_synth_result(ckpt::Writer &w, const SyntheticResult &res);
-
-/** Consumes a SyntheticResult written by put_synth_result. */
-SyntheticResult take_synth_result(ckpt::Reader &r);
-
 /**
- * The 64-bit identity of one sweep point: ckpt::mix_config over the
- * network config, a "PNT1" domain tag, then every traffic and phase
- * parameter (the same fields SyntheticRun's run-checkpoint hash
- * covers). Keys journal records and seals worker result files.
+ * The 64-bit identity of one sweep point: ckpt::run_identity under the
+ * "PNT1" domain tag, over the same config, traffic and phase fields as
+ * SyntheticRun's "RUN1" run-checkpoint hash. Keys journal records and
+ * seals worker result files.
  */
 std::uint64_t point_hash(const RunItem &item);
 

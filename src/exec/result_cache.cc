@@ -10,7 +10,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "exec/point_codec.h"
+#include "ckpt/schema.h"
 
 namespace catnap {
 
@@ -149,7 +149,7 @@ replay_result(const ResultCache &cache, std::uint64_t key,
         return false;
     try {
         ckpt::Reader r(payload);
-        SyntheticResult res = take_synth_result(r);
+        SyntheticResult res = ckpt::take<SyntheticResult>(r);
         r.expect_exhausted();
         out = std::move(res);
         return true;
@@ -163,7 +163,7 @@ store_result(ResultCache &cache, std::uint64_t key,
              const SyntheticResult &res)
 {
     ckpt::Writer w;
-    put_synth_result(w, res);
+    ckpt::put(w, res);
     cache.insert(key, w.bytes());
 }
 

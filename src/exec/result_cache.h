@@ -4,7 +4,7 @@
  * file (DESIGN.md §15).
  *
  * Every entry is one simulation point's SyntheticResult payload (the
- * exec/point_codec.h `put_synth_result` byte stream) keyed by the
+ * `ckpt::put` byte stream of its field list, ckpt/schema.h) keyed by the
  * point's 64-bit "PNT1" identity hash — the same key that seals worker
  * result files, so an entry can never be replayed for a different point
  * than the one that produced it.

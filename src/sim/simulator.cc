@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include "ckpt/checkpoint.h"
+#include "ckpt/schema.h"
 #include "common/log.h"
 #include "fault/fault.h"
 #include "obs/snapshot.h"
@@ -162,25 +163,10 @@ SyntheticRun::deserialize_run(ckpt::Reader &r)
 std::uint64_t
 SyntheticRun::run_hash() const
 {
-    ckpt::Fnv1a h;
-    ckpt::mix_config(h, cfg_);
     // Domain tag "RUN1": run-level checkpoints embed harness state on
     // top of the network payload, so they must never open as (or be
     // opened by) bare-network checkpoints.
-    h.mix_u32(0x4e555231u);
-    h.mix_i32(static_cast<std::int32_t>(traffic_.pattern));
-    h.mix_double(traffic_.load);
-    h.mix_i32(traffic_.packet_bits);
-    h.mix_i32(static_cast<std::int32_t>(traffic_.mc));
-    h.mix_bool(traffic_.node_bursts);
-    h.mix_double(traffic_.burst_on_fraction);
-    h.mix_double(traffic_.burst_mean_len);
-    h.mix_u64(params_.warmup);
-    h.mix_u64(params_.measure);
-    h.mix_u64(params_.drain_max);
-    h.mix_bool(params_.voltage_scaling);
-    h.mix_u64(params_.seed);
-    return h.value();
+    return ckpt::run_identity(0x4e555231u, cfg_, traffic_, params_);
 }
 
 void

@@ -14,6 +14,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/journal.h"
+#include "ckpt/schema.h"
 #include "exec/point_codec.h"
 #include "exec/sweep_runner.h"
 #include "noc/multinoc.h"
@@ -48,7 +49,7 @@ main(int argc, char **argv)
 
     // A three-record journal, one payload being a real result stream.
     ckpt::Writer result_stream;
-    put_synth_result(result_stream, res);
+    ckpt::put(result_stream, res);
     std::vector<std::uint8_t> journal;
     ckpt::append_record(journal, point_hash(item), result_stream.bytes());
     ckpt::append_record(journal, 0x1111, {0x01, 0x02, 0x03});

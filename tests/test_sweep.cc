@@ -22,6 +22,7 @@
 #include <sys/stat.h>
 
 #include "ckpt/journal.h"
+#include "ckpt/schema.h"
 #include "exec/point_codec.h"
 #include "exec/result_cache.h"
 #include "exec/sweep.h"
@@ -232,7 +233,7 @@ TEST(SweepBackend, CachedRecordThatDoesNotDecodeExactlyIsReExecuted)
     opts.resume = true;
     {
         ckpt::Writer w;
-        put_synth_result(w, run_batch(items)[0]);
+        ckpt::put(w, run_batch(items)[0]);
         std::vector<std::uint8_t> payload = w.bytes();
         payload.push_back(0);
         ckpt::JournalWriter(opts.journal,
