@@ -213,8 +213,8 @@ CongestionState::Serialize(ckpt::Writer &w) const
         w.put_double(ns.last_window_value);
         w.put_u64(ns.lcs_set_until);
     }
-    ckpt::put_vec_bool(w, lcs_);
-    ckpt::put_vec_bool(w, rcs_latched_);
+    ckpt::put(w, lcs_);
+    ckpt::put(w, rcs_latched_);
     w.put_u64(rcs_transitions_);
     w.put_u64(rcs_latch_events_);
 }

@@ -181,7 +181,7 @@ make_selector(SelectorKind kind, int num_nodes, int num_subnets,
 CATNAP_PHASE_READ void
 RoundRobinSelector::Serialize(ckpt::Writer &w) const
 {
-    ckpt::put_vec_i32(w, next_);
+    ckpt::put(w, next_);
 }
 
 CATNAP_PHASE_WRITE void
@@ -205,7 +205,7 @@ RandomSelector::Deserialize(ckpt::Reader &r)
 CATNAP_PHASE_READ void
 CatnapSelector::Serialize(ckpt::Writer &w) const
 {
-    ckpt::put_vec_i32(w, rr_next_);
+    ckpt::put(w, rr_next_);
 }
 
 CATNAP_PHASE_WRITE void
