@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "ckpt/archive.h"
+#include "ckpt/fields.h"
 #include "common/log.h"
 
 namespace catnap {
@@ -114,9 +114,7 @@ CoreModel::Serialize(ckpt::Writer &w) const
     w.put_u64(retired_);
     w.put_i32(outstanding_);
     w.put_u64(gap_);
-    w.put_u64(miss_issue_points_.size());
-    for (std::uint64_t p : miss_issue_points_)
-        w.put_u64(p);
+    ckpt::put(w, miss_issue_points_);
     w.put_bool(quiet_);
     w.put_u64(phase_end_);
 }
@@ -128,9 +126,7 @@ CoreModel::Deserialize(ckpt::Reader &r)
     retired_ = r.take_u64();
     outstanding_ = r.take_i32();
     gap_ = r.take_u64();
-    miss_issue_points_.resize(r.take_count());
-    for (std::uint64_t &p : miss_issue_points_)
-        p = r.take_u64();
+    miss_issue_points_ = ckpt::take<std::deque<std::uint64_t>>(r);
     quiet_ = r.take_bool();
     phase_end_ = r.take_u64();
 }

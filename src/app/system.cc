@@ -298,10 +298,7 @@ CmpSystem::Serialize(ckpt::Writer &w) const
     for (const auto &core : cores_)
         core->Serialize(w);
 
-    w.put_u64(mc_next_free_.size());
-    for (Cycle c : mc_next_free_)
-        w.put_u64(c);
-
+    ckpt::put(w, mc_next_free_);
     rng_.Serialize(w);
     w.put_u64(next_pkt_);
     w.put_u64(misses_issued_);
@@ -309,15 +306,10 @@ CmpSystem::Serialize(ckpt::Writer &w) const
 
     // priority_queue has no iteration: drain a copy. Heap pop order is
     // deterministic for a given push history, so the bytes are stable.
-    std::priority_queue<DeferredSend, std::vector<DeferredSend>,
-                        std::greater<>> copy = pending_;
-    w.put_u64(copy.size());
-    while (!copy.empty()) {
-        const DeferredSend &d = copy.top();
-        w.put_u64(d.ready);
-        ckpt::put(w, d.pkt);
-        copy.pop();
-    }
+    std::vector<DeferredSend> sends;
+    for (auto copy = pending_; !copy.empty(); copy.pop())
+        sends.push_back(copy.top());
+    ckpt::put(w, sends);
 }
 
 CATNAP_PHASE_WRITE void
@@ -325,27 +317,19 @@ CmpSystem::Deserialize(ckpt::Reader &r)
 {
     net_->Deserialize(r);
 
-    ckpt::take_count_exact(r, cores_.size(), "core model");
+    ckpt::take_exact(r, cores_.size(), "core model");
     for (auto &core : cores_)
         core->Deserialize(r);
 
-    ckpt::take_count_exact(r, mc_next_free_.size(), "MC service clock");
-    for (Cycle &c : mc_next_free_)
-        c = r.take_u64();
-
+    mc_next_free_ = ckpt::take_exact(r, mc_next_free_, "MC service clock");
     rng_.Deserialize(r);
     next_pkt_ = r.take_u64();
     misses_issued_ = r.take_u64();
     misses_completed_ = r.take_u64();
 
     pending_ = {};
-    const std::uint64_t num_pending = r.take_u64();
-    for (std::uint64_t i = 0; i < num_pending; ++i) {
-        DeferredSend d;
-        d.ready = r.take_u64();
-        d.pkt = ckpt::take<PacketDesc>(r);
+    for (const DeferredSend &d : ckpt::take<std::vector<DeferredSend>>(r))
         pending_.push(d);
-    }
 }
 
 } // namespace catnap

@@ -31,6 +31,7 @@
 
 #include "app/core.h"
 #include "app/workload.h"
+#include "ckpt/fwd.h"
 #include "noc/multinoc.h"
 #include "power/power_meter.h"
 #include "common/phase.h"
@@ -171,6 +172,15 @@ class CmpSystem
             if (ready != o.ready)
                 return ready > o.ready;
             return pkt.id > o.pkt.id;
+        }
+
+        /** Field list (ckpt/fields.h). */
+        template <typename V, typename T>
+        friend ckpt::If<T, DeferredSend>
+        fields(const V &v, T &d)
+        {
+            v(d.ready);
+            v(d.pkt);
         }
     };
 

@@ -207,6 +207,19 @@ class CongestionState
         double last_window_value = 0.0;
         // Hysteresis.
         Cycle lcs_set_until = 0;
+
+        /** Field list (ckpt/fields.h): the data fields only, so a
+         * sample is restored in place and keeps its attachments. */
+        template <typename V, typename T>
+        friend ckpt::If<T, NodeSample>
+        fields(const V &v, T &ns)
+        {
+            v(ns.last_injected_pkts);
+            v(ns.last_block_cycles);
+            v(ns.last_switched);
+            v(ns.last_window_value);
+            v(ns.lcs_set_until);
+        }
     };
 
     std::size_t

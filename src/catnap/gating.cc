@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "catnap/congestion.h"
-#include "ckpt/archive.h"
+#include "ckpt/fields.h"
 #include "common/log.h"
 #include "fault/wake_fault.h"
 #include "noc/router.h"
@@ -261,29 +261,13 @@ make_gating_policy(GatingKind kind, const ConcentratedMesh &mesh,
 CATNAP_PHASE_READ void
 GatingPolicy::Serialize(ckpt::Writer &w) const
 {
-    w.put_u64(retry_.size());
-    for (const std::vector<WakeRetryState> &per_subnet : retry_) {
-        w.put_u64(per_subnet.size());
-        for (const WakeRetryState &s : per_subnet) {
-            w.put_u64(s.pending_since);
-            w.put_u64(s.next_check);
-            w.put_i32(s.retries);
-        }
-    }
+    ckpt::put(w, retry_);
 }
 
 CATNAP_PHASE_WRITE void
 GatingPolicy::Deserialize(ckpt::Reader &r)
 {
-    retry_.resize(r.take_count());
-    for (std::vector<WakeRetryState> &per_subnet : retry_) {
-        per_subnet.resize(r.take_count());
-        for (WakeRetryState &s : per_subnet) {
-            s.pending_since = r.take_u64();
-            s.next_check = r.take_u64();
-            s.retries = r.take_i32();
-        }
-    }
+    retry_ = ckpt::take<std::vector<std::vector<WakeRetryState>>>(r);
     for (std::size_t s = 0; s < routers_.size(); ++s) {
         const bool gates = gateable(static_cast<SubnetId>(s));
         for (std::size_t n = 0; n < routers_[s].size(); ++n) {

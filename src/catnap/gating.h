@@ -98,6 +98,16 @@ class GatingPolicy
         Cycle pending_since = kNoCycle; ///< kNoCycle: no wake pending
         Cycle next_check = kNoCycle;
         int retries = 0;
+
+        /** Field list (ckpt/fields.h). */
+        template <typename V, typename T>
+        friend ckpt::If<T, WakeRetryState>
+        fields(const V &v, T &s)
+        {
+            v(s.pending_since);
+            v(s.next_check);
+            v(s.retries);
+        }
     };
 
     /**

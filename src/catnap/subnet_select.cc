@@ -1,7 +1,7 @@
 #include "catnap/subnet_select.h"
 
 #include "catnap/congestion.h"
-#include "ckpt/codec.h"
+#include "ckpt/fields.h"
 #include "common/log.h"
 
 namespace catnap {
@@ -187,7 +187,7 @@ RoundRobinSelector::Serialize(ckpt::Writer &w) const
 CATNAP_PHASE_WRITE void
 RoundRobinSelector::Deserialize(ckpt::Reader &r)
 {
-    ckpt::take_vec_i32_exact(r, next_, "round-robin selector pointer");
+    next_ = ckpt::take_exact(r, next_, "round-robin selector pointer");
 }
 
 CATNAP_PHASE_READ void
@@ -211,7 +211,7 @@ CatnapSelector::Serialize(ckpt::Writer &w) const
 CATNAP_PHASE_WRITE void
 CatnapSelector::Deserialize(ckpt::Reader &r)
 {
-    ckpt::take_vec_i32_exact(r, rr_next_, "Catnap selector spill pointer");
+    rr_next_ = ckpt::take_exact(r, rr_next_, "Catnap selector spill pointer");
 }
 
 } // namespace catnap

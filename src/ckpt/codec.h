@@ -2,17 +2,18 @@
  * @file
  * Codecs shared by the router, NI, traffic, and app serializers
  * (DESIGN.md §13): the field lists of flits and packet descriptors
- * (ckpt::put(w, flit), ckpt::take<Flit>(r)), readers for
- * constructor-sized vectors (written with ckpt::put), and RingFifos.
+ * (ckpt::put(w, flit), ckpt::take<Flit>(r)), and RingFifos.
  *
- * Helpers are free functions: they mutate no member state themselves, so
- * they stay outside the phase lint's member-function rules while still
- * composing cleanly with READ Serialize / WRITE Deserialize callers.
+ * A stateful class restores its members itself: its Deserialize assigns
+ * each one what ckpt::take or ckpt::take_exact returns, so every write
+ * is the class's own and the phase lint sees it. A RingFifo keeps its
+ * construction-time capacity, so take_fifo refills the live one in
+ * place, called from the owner's Deserialize.
  */
 #ifndef CATNAP_CKPT_CODEC_H
 #define CATNAP_CKPT_CODEC_H
 
-#include <vector>
+#include <string>
 
 #include "ckpt/archive.h"
 #include "ckpt/fields.h"
@@ -53,51 +54,6 @@ fields(const V &v, T &f)
     v(f.wrapped);
     v(f.created);
     v(f.injected);
-}
-
-/**
- * Consumes a container length that must match the size the constructor
- * already gave the live container (topology-derived containers are sized
- * by config, never by the checkpoint). A mismatch means the file does not
- * describe this configuration — defense in depth behind the header's
- * config hash.
- */
-inline std::size_t
-take_count_exact(Reader &r, std::size_t expected, const char *what)
-{
-    const std::uint64_t got = r.take_u64();
-    if (got != static_cast<std::uint64_t>(expected))
-        throw CkptError(std::string("checkpoint: ") + what + " count " +
-                        std::to_string(got) + " does not match configured " +
-                        std::to_string(expected));
-    return expected;
-}
-
-/** Restores a constructor-sized vector of ints; count must match. */
-inline void
-take_vec_i32_exact(Reader &r, std::vector<int> &v, const char *what)
-{
-    take_count_exact(r, v.size(), what);
-    for (int &x : v)
-        x = r.take_i32();
-}
-
-/** Restores a constructor-sized vector of 64-bit ints; count must match. */
-inline void
-take_vec_i64_exact(Reader &r, std::vector<std::int64_t> &v, const char *what)
-{
-    take_count_exact(r, v.size(), what);
-    for (std::int64_t &x : v)
-        x = r.take_i64();
-}
-
-/** Restores a constructor-sized vector<bool>; count must match. */
-inline void
-take_vec_bool_exact(Reader &r, std::vector<bool> &v, const char *what)
-{
-    take_count_exact(r, v.size(), what);
-    for (std::size_t i = 0; i < v.size(); ++i)
-        v[i] = r.take_bool();
 }
 
 /** Appends a RingFifo front-to-back. */

@@ -12,29 +12,39 @@
  *   64-bit integers (Cycle)    u64, two's complement for std::int64_t
  *   bool                       one byte, 0 or 1 (Mix: a u64)
  *   double                     its bit pattern as a u64
- *   std::string, std::vector   a u64 count, then the elements
+ *   std::string, std::vector,  a u64 count, then the elements
+ *   std::deque
+ *   std::map                   a u64 count, then each key and its value
+ *                              (Put and Take only)
  *   any other type             its own field list
  *
- * Stateful classes keep hand-written Serialize/Deserialize members: the
- * phase lint has to see every write a Deserialize makes.
+ * A component's state records (its nested structs, ActivityCounters)
+ * have field lists too, written as hidden friends so the component's
+ * header needs only ckpt/fwd.h. The component itself keeps member
+ * Serialize/Deserialize, because the phase lint must see every write a
+ * restore makes: each body is one ckpt::put, or one assignment, per
+ * member (`arrivals_ = ckpt::take<std::vector<Arrival>>(r)`), and a
+ * container the constructor sized is read with take_exact. Only
+ * RingFifos, nested components and records that also hold wiring are
+ * restored in place.
  */
 #ifndef CATNAP_CKPT_FIELDS_H
 #define CATNAP_CKPT_FIELDS_H
 
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ckpt/archive.h"
 #include "ckpt/checkpoint.h"
+#include "ckpt/fwd.h"
 
 namespace catnap {
 namespace ckpt {
-
-/** Return type of a field list for U: enabled for T = U or const U. */
-template <typename T, typename U>
-using If = std::enable_if_t<std::is_same_v<std::remove_const_t<T>, U>>;
 
 /** Field types encoded as an i32. */
 template <typename T>
@@ -46,13 +56,27 @@ template <typename T>
 constexpr bool is_u64 = std::is_same_v<T, std::uint64_t> ||
                         std::is_same_v<T, std::int64_t>;
 
-/** True for std::vector, encoded as a count and its elements. */
+/** True for std::vector and std::deque: a count, then the elements. */
 template <typename T>
-struct IsVector : std::false_type
+struct IsSequence : std::false_type
 {
 };
 template <typename T, typename A>
-struct IsVector<std::vector<T, A>> : std::true_type
+struct IsSequence<std::vector<T, A>> : std::true_type
+{
+};
+template <typename T, typename A>
+struct IsSequence<std::deque<T, A>> : std::true_type
+{
+};
+
+/** True for std::map: a count, then each key and its value. */
+template <typename T>
+struct IsMap : std::false_type
+{
+};
+template <typename K, typename V, typename C, typename A>
+struct IsMap<std::map<K, V, C, A>> : std::true_type
 {
 };
 
@@ -75,10 +99,16 @@ struct Put
             w.put_u64(static_cast<std::uint64_t>(x));
         } else if constexpr (std::is_same_v<T, std::string>) {
             w.put_string(x);
-        } else if constexpr (IsVector<T>::value) {
+        } else if constexpr (IsSequence<T>::value) {
             w.put_u64(x.size());
             for (const auto &e : x)
                 (*this)(e);
+        } else if constexpr (IsMap<T>::value) {
+            w.put_u64(x.size());
+            for (const auto &[key, value] : x) {
+                (*this)(key);
+                (*this)(value);
+            }
         } else {
             fields(*this, x);
         }
@@ -104,13 +134,41 @@ struct Take
             x = static_cast<T>(r.take_u64());
         } else if constexpr (std::is_same_v<T, std::string>) {
             x = r.take_string();
-        } else if constexpr (IsVector<T>::value) {
-            x.assign(r.take_count(), typename T::value_type{});
-            for (auto &e : x)
-                (*this)(e);
+        } else if constexpr (IsSequence<T>::value) {
+            x = elements<T>(r.take_count());
+        } else if constexpr (IsMap<T>::value) {
+            x.clear();
+            for (std::size_t n = r.take_count(); n > 0; --n) {
+                auto key = value<typename T::key_type>();
+                x.emplace_hint(x.end(), std::move(key),
+                               value<typename T::mapped_type>());
+            }
         } else {
             fields(*this, x);
         }
+    }
+
+    /** Consumes a T. */
+    template <typename T>
+    T
+    value() const
+    {
+        T x{};
+        (*this)(x);
+        return x;
+    }
+
+    /** Consumes @p n elements of the vector or deque T. */
+    template <typename T>
+    T
+    elements(std::size_t n) const
+    {
+        T x;
+        if constexpr (requires { x.reserve(n); })
+            x.reserve(n);
+        for (; n > 0; --n)
+            x.push_back(value<typename T::value_type>());
+        return x;
     }
 };
 
@@ -131,7 +189,7 @@ struct Mix
             h.mix_double(x);
         } else if constexpr (is_u64<T>) {
             h.mix_u64(static_cast<std::uint64_t>(x));
-        } else if constexpr (IsVector<T>::value) {
+        } else if constexpr (IsSequence<T>::value) {
             h.mix_u64(x.size());
             for (const auto &e : x)
                 (*this)(e);
@@ -154,9 +212,35 @@ template <typename T>
 T
 take(Reader &r)
 {
-    T x{};
-    Take{r}(x);
-    return x;
+    return Take{r}.value<T>();
+}
+
+/**
+ * Consumes what put() wrote for a container the constructor sized, and
+ * returns it; @p live is the live container, or for one restored in
+ * place its size. Topology-derived containers are sized by config,
+ * never by the image, so a count that differs means the image does not
+ * describe this configuration (defense in depth behind the header's
+ * config hash): it throws CkptError naming @p what.
+ */
+template <typename C>
+C
+take_exact(Reader &r, const C &live, const char *what)
+{
+    std::uint64_t want = 0;
+    if constexpr (std::is_integral_v<C>)
+        want = live;
+    else
+        want = live.size();
+    const std::uint64_t got = r.take_u64();
+    if (got != want)
+        throw CkptError(std::string("checkpoint: ") + what + " count " +
+                        std::to_string(got) + " does not match configured " +
+                        std::to_string(want));
+    if constexpr (std::is_integral_v<C>)
+        return live;
+    else
+        return Take{r}.elements<C>(live.size());
 }
 
 /** Mixes @p x into @p h. */

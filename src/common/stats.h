@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <vector>
-#include "ckpt/archive.h"
+#include "ckpt/fields.h"
 #include "common/phase.h"
 
 namespace catnap {
@@ -157,9 +157,7 @@ class Histogram
     Serialize(ckpt::Writer &w) const
     {
         w.put_double(width_);
-        w.put_u64(counts_.size());
-        for (std::uint64_t c : counts_)
-            w.put_u64(c);
+        ckpt::put(w, counts_);
         w.put_u64(total_);
     }
 
@@ -168,9 +166,7 @@ class Histogram
     Deserialize(ckpt::Reader &r)
     {
         width_ = r.take_double();
-        counts_.assign(r.take_count(), 0);
-        for (std::uint64_t &c : counts_)
-            c = r.take_u64();
+        counts_ = ckpt::take<std::vector<std::uint64_t>>(r);
         total_ = r.take_u64();
     }
 
@@ -226,9 +222,7 @@ class WindowedSeries
         w.put_u64(window_);
         w.put_u64(next_index_);
         w.put_double(current_);
-        w.put_u64(samples_.size());
-        for (double s : samples_)
-            w.put_double(s);
+        ckpt::put(w, samples_);
     }
 
     /** Restores the sampler state from a checkpoint. */
@@ -238,9 +232,7 @@ class WindowedSeries
         window_ = r.take_u64();
         next_index_ = r.take_u64();
         current_ = r.take_double();
-        samples_.assign(r.take_count(), 0.0);
-        for (double &s : samples_)
-            s = r.take_double();
+        samples_ = ckpt::take<std::vector<double>>(r);
     }
 
   private:

@@ -4,7 +4,7 @@
 #include <set>
 #include <utility>
 
-#include "ckpt/archive.h"
+#include "ckpt/fields.h"
 #include "common/log.h"
 #include "noc/flit.h"
 #include "noc/multinoc.h"
@@ -263,23 +263,8 @@ FaultController::Serialize(ckpt::Writer &w) const
     w.put_u64(next_event_);
     w.put_u64(next_glitch_);
 
-    w.put_u64(windows_.size());
-    for (const WakeWindow &win : windows_) {
-        w.put_u64(win.from);
-        w.put_u64(win.until);
-        w.put_i32(win.subnet);
-        w.put_i32(win.node);
-        w.put_bool(win.delay);
-        w.put_u64(win.delay_by);
-    }
-
-    w.put_u64(delayed_.size());
-    for (const DelayedWake &d : delayed_) {
-        w.put_u64(d.fire_at);
-        w.put_i32(d.subnet);
-        w.put_i32(d.node);
-    }
-
+    ckpt::put(w, windows_);
+    ckpt::put(w, delayed_);
     w.put_u64(faults_fired_);
 }
 
@@ -295,23 +280,8 @@ FaultController::Deserialize(ckpt::Reader &r)
             "checkpoint: fault timeline cursor beyond plan length — the "
             "checkpoint was taken against a different fault plan");
 
-    windows_.resize(r.take_count());
-    for (WakeWindow &win : windows_) {
-        win.from = r.take_u64();
-        win.until = r.take_u64();
-        win.subnet = r.take_i32();
-        win.node = r.take_i32();
-        win.delay = r.take_bool();
-        win.delay_by = r.take_u64();
-    }
-
-    delayed_.resize(r.take_count());
-    for (DelayedWake &d : delayed_) {
-        d.fire_at = r.take_u64();
-        d.subnet = r.take_i32();
-        d.node = r.take_i32();
-    }
-
+    windows_ = ckpt::take<std::vector<WakeWindow>>(r);
+    delayed_ = ckpt::take<std::vector<DelayedWake>>(r);
     faults_fired_ = r.take_u64();
 }
 

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ckpt/fwd.h"
 #include "common/phase.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -118,6 +119,16 @@ class FaultController final : public WakeFaultModel
         Cycle fire_at;
         SubnetId subnet;
         NodeId node;
+
+        /** Field list (ckpt/fields.h). */
+        template <typename V, typename T>
+        friend ckpt::If<T, DelayedWake>
+        fields(const V &v, T &d)
+        {
+            v(d.fire_at);
+            v(d.subnet);
+            v(d.node);
+        }
     };
 
     /** Active loss/delay window over one router's wake-up signal. */
@@ -128,6 +139,19 @@ class FaultController final : public WakeFaultModel
         NodeId node;
         bool delay; // false: lose the wake; true: defer it
         Cycle delay_by;
+
+        /** Field list (ckpt/fields.h). */
+        template <typename V, typename T>
+        friend ckpt::If<T, WakeWindow>
+        fields(const V &v, T &win)
+        {
+            v(win.from);
+            v(win.until);
+            v(win.subnet);
+            v(win.node);
+            v(win.delay);
+            v(win.delay_by);
+        }
     };
 
     void fire(const FaultEvent &ev, Cycle now);

@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/archive.h"
+#include "ckpt/fields.h"
 #include "common/types.h"
 #include "obs/event.h"
 #include "common/phase.h"
@@ -96,19 +96,14 @@ class HealthMask
     CATNAP_COLD_PATH CATNAP_PHASE_READ void
     Serialize(ckpt::Writer &w) const
     {
-        w.put_u64(healthy_.size());
-        for (bool h : healthy_)
-            w.put_bool(h);
+        ckpt::put(w, healthy_);
     }
 
     /** Restores the health bits from a checkpoint. */
     CATNAP_COLD_PATH CATNAP_PHASE_WRITE void
     Deserialize(ckpt::Reader &r)
     {
-        if (r.take_u64() != healthy_.size())
-            throw ckpt::CkptError("checkpoint: subnet health count mismatch");
-        for (std::size_t s = 0; s < healthy_.size(); ++s)
-            healthy_[s] = r.take_bool();
+        healthy_ = ckpt::take_exact(r, healthy_, "subnet health bit");
     }
 
   private:

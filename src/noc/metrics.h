@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/archive.h"
+#include "ckpt/fields.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "common/phase.h"
@@ -207,9 +207,7 @@ class NetMetrics
         w.put_u64(retransmits_);
         w.put_u64(dropped_packets_);
         w.put_u64(dropped_flits_);
-        w.put_u64(injected_flits_per_subnet_.size());
-        for (std::uint64_t f : injected_flits_per_subnet_)
-            w.put_u64(f);
+        ckpt::put(w, injected_flits_per_subnet_);
         total_latency_.Serialize(w);
         network_latency_.Serialize(w);
         hop_count_.Serialize(w);
@@ -241,20 +239,15 @@ class NetMetrics
         retransmits_ = r.take_u64();
         dropped_packets_ = r.take_u64();
         dropped_flits_ = r.take_u64();
-        if (r.take_u64() != injected_flits_per_subnet_.size())
-            throw ckpt::CkptError(
-                "checkpoint: per-subnet flit counter count mismatch");
-        for (std::uint64_t &f : injected_flits_per_subnet_)
-            f = r.take_u64();
+        injected_flits_per_subnet_ = ckpt::take_exact(
+            r, injected_flits_per_subnet_, "per-subnet flit counter");
         total_latency_.Deserialize(r);
         network_latency_.Deserialize(r);
         hop_count_.Deserialize(r);
         latency_hist_.Deserialize(r);
         offered_series_.Deserialize(r);
         accepted_series_.Deserialize(r);
-        if (r.take_u64() != subnet_series_.size())
-            throw ckpt::CkptError(
-                "checkpoint: subnet series count mismatch");
+        ckpt::take_exact(r, subnet_series_.size(), "subnet series");
         for (WindowedSeries &s : subnet_series_)
             s.Deserialize(r);
     }

@@ -428,125 +428,37 @@ NetworkInterface::scan_packet_timeouts(Cycle now)
 CATNAP_PHASE_READ void
 NetworkInterface::Serialize(ckpt::Writer &w) const
 {
-    w.put_u64(stash_.size());
-    for (const PacketDesc &p : stash_)
-        ckpt::put(w, p);
-
-    w.put_u64(queue_.size());
-    for (const PacketDesc &p : queue_)
-        ckpt::put(w, p);
+    ckpt::put(w, stash_);
+    ckpt::put(w, queue_);
     w.put_i32(queue_flits_);
-
-    w.put_u64(slots_.size());
-    for (const InjectSlot &s : slots_) {
-        w.put_bool(s.active);
-        ckpt::put(w, s.pkt);
-        w.put_i32(s.total_flits);
-        w.put_i32(s.next_seq);
-        w.put_i32(s.vc);
-        w.put_u64(s.head_injected);
-    }
-
+    ckpt::put(w, slots_);
     ckpt::put(w, local_credits_);
     ckpt::put(w, local_owner_);
-
-    w.put_u64(credit_events_.size());
-    for (const CreditEvent &c : credit_events_) {
-        w.put_u64(c.ready);
-        w.put_i32(c.subnet);
-        w.put_i32(c.vc);
-    }
-
-    w.put_u64(eject_events_.size());
-    for (const EjectEvent &e : eject_events_) {
-        w.put_u64(e.ready);
-        w.put_i32(e.subnet);
-        ckpt::put(w, e.flit);
-    }
-
-    w.put_u64(loopback_events_.size());
-    for (const LoopbackEvent &l : loopback_events_) {
-        w.put_u64(l.ready);
-        ckpt::put(w, l.pkt);
-    }
-
-    w.put_u64(injected_packets_per_subnet_.size());
-    for (std::uint64_t n : injected_packets_per_subnet_)
-        w.put_u64(n);
-
+    ckpt::put(w, credit_events_);
+    ckpt::put(w, eject_events_);
+    ckpt::put(w, loopback_events_);
+    ckpt::put(w, injected_packets_per_subnet_);
     // std::map iterates in ascending PacketId order: deterministic bytes.
-    w.put_u64(outstanding_.size());
-    for (const auto &[id, o] : outstanding_) {
-        w.put_u64(id);
-        ckpt::put(w, o.pkt);
-        w.put_u64(o.deadline);
-        w.put_i32(o.attempts);
-        w.put_bool(o.lost);
-    }
+    ckpt::put(w, outstanding_);
     w.put_i32(lost_outstanding_);
 }
 
 CATNAP_PHASE_WRITE void
 NetworkInterface::Deserialize(ckpt::Reader &r)
 {
-    stash_.resize(r.take_count());
-    for (PacketDesc &p : stash_)
-        p = ckpt::take<PacketDesc>(r);
-
-    queue_.resize(r.take_count());
-    for (PacketDesc &p : queue_)
-        p = ckpt::take<PacketDesc>(r);
+    stash_ = ckpt::take<std::deque<PacketDesc>>(r);
+    queue_ = ckpt::take<std::deque<PacketDesc>>(r);
     queue_flits_ = r.take_i32();
-
-    ckpt::take_count_exact(r, slots_.size(), "NI injection slot");
-    for (InjectSlot &s : slots_) {
-        s.active = r.take_bool();
-        s.pkt = ckpt::take<PacketDesc>(r);
-        s.total_flits = r.take_i32();
-        s.next_seq = r.take_i32();
-        s.vc = r.take_i32();
-        s.head_injected = r.take_u64();
-    }
-
-    ckpt::take_vec_i32_exact(r, local_credits_, "NI local credit");
-    ckpt::take_vec_i64_exact(r, local_owner_, "NI local VC owner");
-
-    credit_events_.resize(r.take_count());
-    for (CreditEvent &c : credit_events_) {
-        c.ready = r.take_u64();
-        c.subnet = r.take_i32();
-        c.vc = r.take_i32();
-    }
-
-    eject_events_.resize(r.take_count());
-    for (EjectEvent &e : eject_events_) {
-        e.ready = r.take_u64();
-        e.subnet = r.take_i32();
-        e.flit = ckpt::take<Flit>(r);
-    }
-
-    loopback_events_.resize(r.take_count());
-    for (LoopbackEvent &l : loopback_events_) {
-        l.ready = r.take_u64();
-        l.pkt = ckpt::take<PacketDesc>(r);
-    }
-
-    ckpt::take_count_exact(r, injected_packets_per_subnet_.size(),
-                           "NI per-subnet packet counter");
-    for (std::uint64_t &n : injected_packets_per_subnet_)
-        n = r.take_u64();
-
-    outstanding_.clear();
-    const std::uint64_t num_outstanding = r.take_u64();
-    for (std::uint64_t i = 0; i < num_outstanding; ++i) {
-        const PacketId id = r.take_u64();
-        Outstanding o;
-        o.pkt = ckpt::take<PacketDesc>(r);
-        o.deadline = r.take_u64();
-        o.attempts = r.take_i32();
-        o.lost = r.take_bool();
-        outstanding_.emplace(id, o);
-    }
+    slots_ = ckpt::take_exact(r, slots_, "NI injection slot");
+    local_credits_ = ckpt::take_exact(r, local_credits_, "NI local credit");
+    local_owner_ = ckpt::take_exact(r, local_owner_, "NI local VC owner");
+    credit_events_ = ckpt::take<std::vector<CreditEvent>>(r);
+    eject_events_ = ckpt::take<std::vector<EjectEvent>>(r);
+    loopback_events_ = ckpt::take<std::vector<LoopbackEvent>>(r);
+    injected_packets_per_subnet_ =
+        ckpt::take_exact(r, injected_packets_per_subnet_,
+                         "NI per-subnet packet counter");
+    outstanding_ = ckpt::take<std::map<PacketId, Outstanding>>(r);
     lost_outstanding_ = r.take_i32();
 }
 

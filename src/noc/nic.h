@@ -211,6 +211,19 @@ class NetworkInterface
         int next_seq = 0;
         VcId vc = kInvalidVc;
         Cycle head_injected = 0;
+
+        /** Field list (ckpt/fields.h). */
+        template <typename V, typename T>
+        friend ckpt::If<T, InjectSlot>
+        fields(const V &v, T &s)
+        {
+            v(s.active);
+            v(s.pkt);
+            v(s.total_flits);
+            v(s.next_seq);
+            v(s.vc);
+            v(s.head_injected);
+        }
     };
 
     /** Adapter: the router's local-port client for one subnet. */
@@ -239,6 +252,16 @@ class NetworkInterface
         Cycle ready;
         SubnetId subnet;
         VcId vc;
+
+        /** Field list (ckpt/fields.h). */
+        template <typename V, typename T>
+        friend ckpt::If<T, CreditEvent>
+        fields(const V &v, T &c)
+        {
+            v(c.ready);
+            v(c.subnet);
+            v(c.vc);
+        }
     };
 
     struct EjectEvent
@@ -246,12 +269,31 @@ class NetworkInterface
         Cycle ready;
         SubnetId subnet;
         Flit flit;
+
+        /** Field list (ckpt/fields.h). */
+        template <typename V, typename T>
+        friend ckpt::If<T, EjectEvent>
+        fields(const V &v, T &e)
+        {
+            v(e.ready);
+            v(e.subnet);
+            v(e.flit);
+        }
     };
 
     struct LoopbackEvent
     {
         Cycle ready;
         PacketDesc pkt;
+
+        /** Field list (ckpt/fields.h). */
+        template <typename V, typename T>
+        friend ckpt::If<T, LoopbackEvent>
+        fields(const V &v, T &l)
+        {
+            v(l.ready);
+            v(l.pkt);
+        }
     };
 
     /** End-to-end delivery tracking state for one offered packet. */
@@ -261,6 +303,17 @@ class NetworkInterface
         Cycle deadline = 0;
         int attempts = 0;   ///< retransmissions performed so far
         bool lost = false;  ///< flits purged; awaiting retransmit/drop
+
+        /** Field list (ckpt/fields.h). */
+        template <typename V, typename T>
+        friend ckpt::If<T, Outstanding>
+        fields(const V &v, T &o)
+        {
+            v(o.pkt);
+            v(o.deadline);
+            v(o.attempts);
+            v(o.lost);
+        }
     };
 
     CATNAP_PHASE_READ void refill_queue(Cycle now);

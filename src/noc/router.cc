@@ -679,34 +679,14 @@ Router::Serialize(ckpt::Writer &w, Cycle now) const
     w.put_u64(fifos_.size());
     for (const RingFifo<Flit> &f : fifos_)
         ckpt::put_fifo(w, f);
-
-    w.put_u64(vc_state_.size());
-    for (const InputVcState &v : vc_state_) {
-        w.put_bool(v.active);
-        w.put_i32(static_cast<int>(v.out_dir));
-        w.put_i32(v.out_vc);
-        w.put_u64(v.head_since);
-    }
-
+    ckpt::put(w, vc_state_);
     ckpt::put(w, out_owner_);
     ckpt::put(w, out_credits_);
     ckpt::put(w, va_rr_);
     ckpt::put(w, sa_input_rr_);
     ckpt::put(w, sa_output_rr_);
-
-    w.put_u64(arrivals_.size());
-    for (const Arrival &a : arrivals_) {
-        w.put_u64(a.ready);
-        w.put_i32(static_cast<int>(a.inport));
-        ckpt::put(w, a.flit);
-    }
-
-    w.put_u64(credit_events_.size());
-    for (const CreditEvent &c : credit_events_) {
-        w.put_u64(c.ready);
-        w.put_i32(static_cast<int>(c.port));
-        w.put_i32(c.vc);
-    }
+    ckpt::put(w, arrivals_);
+    ckpt::put(w, credit_events_);
 
     // The image holds the idle streak as a commit at every cycle leaves
     // it (a failed router's stays frozen).
@@ -720,43 +700,25 @@ Router::Serialize(ckpt::Writer &w, Cycle now) const
 
     w.put_u64(head_block_cycles_);
     w.put_u64(switched_flits_);
-    activity(now).Serialize(w);
+    ckpt::put(w, activity(now));
 }
 
 CATNAP_PHASE_WRITE void
 Router::Deserialize(ckpt::Reader &r, Cycle now)
 {
-    ckpt::take_count_exact(r, fifos_.size(), "router input FIFO");
+    ckpt::take_exact(r, fifos_.size(), "router input FIFO");
     for (RingFifo<Flit> &f : fifos_)
         ckpt::take_fifo(r, f);
-
-    ckpt::take_count_exact(r, vc_state_.size(), "router VC state");
-    for (InputVcState &v : vc_state_) {
-        v.active = r.take_bool();
-        v.out_dir = static_cast<Direction>(r.take_i32());
-        v.out_vc = r.take_i32();
-        v.head_since = r.take_u64();
-    }
-
-    ckpt::take_vec_i64_exact(r, out_owner_, "router output owner");
-    ckpt::take_vec_i32_exact(r, out_credits_, "router output credit");
-    ckpt::take_vec_i32_exact(r, va_rr_, "router VA round-robin");
-    ckpt::take_vec_i32_exact(r, sa_input_rr_, "router SA input round-robin");
-    ckpt::take_vec_i32_exact(r, sa_output_rr_, "router SA output round-robin");
-
-    arrivals_.resize(r.take_count());
-    for (Arrival &a : arrivals_) {
-        a.ready = r.take_u64();
-        a.inport = static_cast<Direction>(r.take_i32());
-        a.flit = ckpt::take<Flit>(r);
-    }
-
-    credit_events_.resize(r.take_count());
-    for (CreditEvent &c : credit_events_) {
-        c.ready = r.take_u64();
-        c.port = static_cast<Direction>(r.take_i32());
-        c.vc = r.take_i32();
-    }
+    vc_state_ = ckpt::take_exact(r, vc_state_, "router VC state");
+    out_owner_ = ckpt::take_exact(r, out_owner_, "router output owner");
+    out_credits_ = ckpt::take_exact(r, out_credits_, "router output credit");
+    va_rr_ = ckpt::take_exact(r, va_rr_, "router VA round-robin");
+    sa_input_rr_ =
+        ckpt::take_exact(r, sa_input_rr_, "router SA input round-robin");
+    sa_output_rr_ =
+        ckpt::take_exact(r, sa_output_rr_, "router SA output round-robin");
+    arrivals_ = ckpt::take<std::vector<Arrival>>(r);
+    credit_events_ = ckpt::take<std::vector<CreditEvent>>(r);
 
     power_.Deserialize(r, PowerDomain::CkptOrder::kRouter);
     failed_ = r.take_bool();
@@ -767,7 +729,7 @@ Router::Deserialize(ckpt::Reader &r, Cycle now)
 
     head_block_cycles_ = r.take_u64();
     switched_flits_ = r.take_u64();
-    activity_.Deserialize(r);
+    activity_ = ckpt::take<ActivityCounters>(r);
 
     // Back to the settled form: the open periods are derived from
     // timestamps (a failed router's death is restarted at now), and

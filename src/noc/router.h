@@ -419,6 +419,17 @@ class Router
         Direction out_dir = Direction::kLocal; ///< its output port here
         VcId out_vc = kInvalidVc;       ///< allocated downstream VC
         Cycle head_since = 0;           ///< when current front became head
+
+        /** Field list (ckpt/fields.h). */
+        template <typename V, typename T>
+        friend ckpt::If<T, InputVcState>
+        fields(const V &v, T &s)
+        {
+            v(s.active);
+            v(s.out_dir);
+            v(s.out_vc);
+            v(s.head_since);
+        }
     };
 
     /** A flit in flight toward one of our input buffers. */
@@ -427,6 +438,16 @@ class Router
         Cycle ready;
         Direction inport;
         Flit flit;
+
+        /** Field list (ckpt/fields.h). */
+        template <typename V, typename T>
+        friend ckpt::If<T, Arrival>
+        fields(const V &v, T &a)
+        {
+            v(a.ready);
+            v(a.inport);
+            v(a.flit);
+        }
     };
 
     /** A credit in flight toward one of our output-port counters. */
@@ -435,6 +456,16 @@ class Router
         Cycle ready;
         Direction port;
         VcId vc;
+
+        /** Field list (ckpt/fields.h). */
+        template <typename V, typename T>
+        friend ckpt::If<T, CreditEvent>
+        fields(const V &v, T &c)
+        {
+            v(c.ready);
+            v(c.port);
+            v(c.vc);
+        }
     };
 
     CATNAP_PHASE_READ void run_vc_allocation(Cycle now);

@@ -9,8 +9,7 @@
 
 #include <cstdint>
 
-#include "ckpt/archive.h"
-#include "common/phase.h"
+#include "ckpt/fwd.h"
 
 namespace catnap {
 
@@ -76,46 +75,26 @@ struct ActivityCounters
     /** Zeroes every counter. */
     void reset() { *this = ActivityCounters(); }
 
-    /** Appends every counter to a checkpoint (DESIGN.md §13). */
-    CATNAP_COLD_PATH CATNAP_PHASE_READ void
-    Serialize(ckpt::Writer &w) const
+    /** Field list (ckpt/fields.h), for checkpoints (DESIGN.md §13). */
+    template <typename V, typename T>
+    friend ckpt::If<T, ActivityCounters>
+    fields(const V &v, T &a)
     {
-        w.put_u64(buffer_writes);
-        w.put_u64(buffer_reads);
-        w.put_u64(xbar_traversals);
-        w.put_u64(link_flits);
-        w.put_u64(arb_ops);
-        w.put_u64(ni_flits);
-        w.put_u64(active_cycles);
-        w.put_u64(sleep_cycles);
-        w.put_u64(sleep_transitions);
-        w.put_i64(compensated_sleep_cycles);
-        w.put_i64(net_sleep_savings_cycles);
-        w.put_u64(port_sleep_cycles);
-        w.put_u64(port_sleep_transitions);
-        w.put_i64(port_compensated_sleep_cycles);
-        w.put_i64(port_net_sleep_savings_cycles);
-    }
-
-    /** Restores every counter from a checkpoint. */
-    CATNAP_COLD_PATH CATNAP_PHASE_WRITE void
-    Deserialize(ckpt::Reader &r)
-    {
-        buffer_writes = r.take_u64();
-        buffer_reads = r.take_u64();
-        xbar_traversals = r.take_u64();
-        link_flits = r.take_u64();
-        arb_ops = r.take_u64();
-        ni_flits = r.take_u64();
-        active_cycles = r.take_u64();
-        sleep_cycles = r.take_u64();
-        sleep_transitions = r.take_u64();
-        compensated_sleep_cycles = r.take_i64();
-        net_sleep_savings_cycles = r.take_i64();
-        port_sleep_cycles = r.take_u64();
-        port_sleep_transitions = r.take_u64();
-        port_compensated_sleep_cycles = r.take_i64();
-        port_net_sleep_savings_cycles = r.take_i64();
+        v(a.buffer_writes);
+        v(a.buffer_reads);
+        v(a.xbar_traversals);
+        v(a.link_flits);
+        v(a.arb_ops);
+        v(a.ni_flits);
+        v(a.active_cycles);
+        v(a.sleep_cycles);
+        v(a.sleep_transitions);
+        v(a.compensated_sleep_cycles);
+        v(a.net_sleep_savings_cycles);
+        v(a.port_sleep_cycles);
+        v(a.port_sleep_transitions);
+        v(a.port_compensated_sleep_cycles);
+        v(a.port_net_sleep_savings_cycles);
     }
 };
 

@@ -1,6 +1,6 @@
 #include "power/power_meter.h"
 
-#include "ckpt/codec.h"
+#include "ckpt/fields.h"
 #include "common/log.h"
 #include "noc/multinoc.h"
 #include "power/voltage.h"
@@ -181,9 +181,7 @@ analytic_network_power(int num_nodes, int num_subnets, int width_bits,
 CATNAP_PHASE_READ void
 PowerMeter::Serialize(ckpt::Writer &w) const
 {
-    w.put_u64(start_.size());
-    for (const ActivityCounters &a : start_)
-        a.Serialize(w);
+    ckpt::put(w, start_);
     w.put_u64(start_or_transitions_);
     w.put_u64(start_cycle_);
 }
@@ -195,18 +193,16 @@ PowerMeter::Deserialize(ckpt::Reader &r)
     // after; a restored meter may land in either state, so the size
     // comes from the archive — but only the two legal sizes are
     // accepted.
-    const std::uint64_t n = r.take_u64();
+    start_ = ckpt::take<std::vector<ActivityCounters>>(r);
     const std::size_t per_router =
         static_cast<std::size_t>(net_.num_subnets()) *
         static_cast<std::size_t>(net_.num_nodes());
-    if (n != 0 && n != per_router)
+    if (!start_.empty() && start_.size() != per_router)
         throw ckpt::CkptError(
-            "checkpoint: power-meter snapshot count " + std::to_string(n) +
+            "checkpoint: power-meter snapshot count " +
+            std::to_string(start_.size()) +
             " matches neither 0 nor the router count " +
             std::to_string(per_router));
-    start_.assign(static_cast<std::size_t>(n), ActivityCounters{});
-    for (ActivityCounters &a : start_)
-        a.Deserialize(r);
     start_or_transitions_ = r.take_u64();
     start_cycle_ = r.take_u64();
 }

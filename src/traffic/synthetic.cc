@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ckpt/codec.h"
+#include "ckpt/fields.h"
 #include "common/log.h"
 #include "noc/multinoc.h"
 #include "traffic/trace.h"
@@ -105,11 +105,7 @@ SyntheticTraffic::Serialize(ckpt::Writer &w) const
     w.put_u64(node_rng_.size());
     for (const Rng &rng : node_rng_)
         rng.Serialize(w);
-    w.put_u64(node_phase_.size());
-    for (const NodePhase &p : node_phase_) {
-        w.put_bool(p.on);
-        w.put_u64(p.until);
-    }
+    ckpt::put(w, node_phase_);
     w.put_u64(next_id_);
     w.put_u64(generated_);
 }
@@ -118,14 +114,10 @@ CATNAP_PHASE_WRITE void
 SyntheticTraffic::Deserialize(ckpt::Reader &r)
 {
     pattern_->Deserialize(r);
-    ckpt::take_count_exact(r, node_rng_.size(), "traffic node RNG");
+    ckpt::take_exact(r, node_rng_.size(), "traffic node RNG");
     for (Rng &rng : node_rng_)
         rng.Deserialize(r);
-    ckpt::take_count_exact(r, node_phase_.size(), "traffic burst phase");
-    for (NodePhase &p : node_phase_) {
-        p.on = r.take_bool();
-        p.until = r.take_u64();
-    }
+    node_phase_ = ckpt::take_exact(r, node_phase_, "traffic burst phase");
     next_id_ = r.take_u64();
     generated_ = r.take_u64();
 }

@@ -117,6 +117,15 @@ class SyntheticTraffic
     {
         bool on = true;
         Cycle until = 0;
+
+        /** Field list (ckpt/fields.h). */
+        template <typename V, typename T>
+        friend ckpt::If<T, NodePhase>
+        fields(const V &v, T &p)
+        {
+            v(p.on);
+            v(p.until);
+        }
     };
 
     CATNAP_PHASE_WRITE double node_load(NodeId n, Cycle now, double base);
