@@ -8,10 +8,12 @@
  *   catnap_sim --mode app --workload heavy --subnets 4 --gating catnap
  *   catnap_sim --help
  */
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/system.h"
@@ -178,6 +180,8 @@ parse_workload(const std::string &v)
  * Splits a colon-separated fault spec ("C:S:N[:...]") into exactly
  * @p want numeric fields; with @p tail, one extra trailing string field
  * is split off first (the link direction). Exits with usage on mismatch.
+ * S and N must fit a 32-bit id; whether they name a subnet and a node
+ * of the network is a cross-field check.
  */
 std::vector<long long>
 parse_fields(const char *flag, const std::string &value, std::size_t want,
@@ -206,8 +210,9 @@ parse_fields(const char *flag, const std::string &value, std::size_t want,
         fields.pop_back();
     }
     std::vector<long long> out;
-    for (const std::string &field : fields)
-        out.push_back(parse_int(flag, field, 0, 1ll << 62));
+    for (std::size_t k = 0; k < fields.size(); ++k)
+        out.push_back(parse_int(flag, fields[k], 0,
+                                k == 1 || k == 2 ? INT32_MAX : 1ll << 62));
     return out;
 }
 
@@ -299,6 +304,15 @@ main(int argc, char **argv)
     Cycle ckpt_every = 0;
     std::string worker_spec;
     std::string worker_out;
+    // Each fault-event flag and its spec, in cfg.fault.events order.
+    std::vector<std::pair<std::string, std::string>> fault_specs;
+    const auto fault_fields = [&](const std::string &flag, int &i,
+                                  std::size_t want,
+                                  std::string *tail = nullptr) {
+        fault_specs.emplace_back(flag, need_value(argc, argv, i));
+        return parse_fields(flag.c_str(), fault_specs.back().second, want,
+                            tail);
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -379,43 +393,37 @@ main(int argc, char **argv)
         else if (a == "--worker-out")
             worker_out = need_value(argc, argv, i);
         else if (a == "--fault-kill-router") {
-            const auto f =
-                parse_fields(a.c_str(), need_value(argc, argv, i), 3);
+            const auto f = fault_fields(a, i, 3);
             cfg.fault.kill_router(static_cast<Cycle>(f[0]),
                                   static_cast<SubnetId>(f[1]),
                                   static_cast<NodeId>(f[2]));
         } else if (a == "--fault-kill-link") {
             std::string dir;
-            const auto f =
-                parse_fields(a.c_str(), need_value(argc, argv, i), 3, &dir);
+            const auto f = fault_fields(a, i, 3, &dir);
             cfg.fault.kill_link(static_cast<Cycle>(f[0]),
                                 static_cast<SubnetId>(f[1]),
                                 static_cast<NodeId>(f[2]),
                                 parse_direction(dir));
         } else if (a == "--fault-wake-stuck") {
-            const auto f =
-                parse_fields(a.c_str(), need_value(argc, argv, i), 3);
+            const auto f = fault_fields(a, i, 3);
             cfg.fault.stick_wake(static_cast<Cycle>(f[0]),
                                  static_cast<SubnetId>(f[1]),
                                  static_cast<NodeId>(f[2]));
         } else if (a == "--fault-lose-wakes") {
-            const auto f =
-                parse_fields(a.c_str(), need_value(argc, argv, i), 4);
+            const auto f = fault_fields(a, i, 4);
             cfg.fault.lose_wakes(static_cast<Cycle>(f[0]),
                                  static_cast<SubnetId>(f[1]),
                                  static_cast<NodeId>(f[2]),
                                  static_cast<Cycle>(f[3]));
         } else if (a == "--fault-delay-wakes") {
-            const auto f =
-                parse_fields(a.c_str(), need_value(argc, argv, i), 5);
+            const auto f = fault_fields(a, i, 5);
             cfg.fault.delay_wakes(static_cast<Cycle>(f[0]),
                                   static_cast<SubnetId>(f[1]),
                                   static_cast<NodeId>(f[2]),
                                   static_cast<Cycle>(f[3]),
                                   static_cast<Cycle>(f[4]));
         } else if (a == "--fault-rcs-glitch") {
-            const auto f =
-                parse_fields(a.c_str(), need_value(argc, argv, i), 3);
+            const auto f = fault_fields(a, i, 3);
             cfg.fault.glitch_rcs(static_cast<Cycle>(f[0]),
                                  static_cast<SubnetId>(f[1]),
                                  static_cast<NodeId>(f[2]));
@@ -452,10 +460,24 @@ main(int argc, char **argv)
     }
 
     // Cross-field checks the per-flag parsers cannot see.
-    if (cfg.total_link_bits < cfg.num_subnets) {
+    if (cfg.total_link_bits % cfg.num_subnets != 0) {
         die_value("--width", std::to_string(cfg.total_link_bits),
-                  "fewer aggregate bits than subnets leaves a zero-width "
-                  "datapath per subnet");
+                  "the aggregate datapath does not split evenly across " +
+                      std::to_string(cfg.num_subnets) + " subnets");
+    }
+    const int num_nodes = cfg.mesh_width * cfg.mesh_height;
+    for (std::size_t e = 0; e < fault_specs.size(); ++e) {
+        const FaultEvent &ev = cfg.fault.events[e];
+        const auto &[flag, spec] = fault_specs[e];
+        if (ev.subnet >= cfg.num_subnets)
+            die_value(flag.c_str(), spec,
+                      "targets subnet " + std::to_string(ev.subnet) +
+                          " of a " + std::to_string(cfg.num_subnets) +
+                          "-subnet network");
+        if (ev.node >= num_nodes)
+            die_value(flag.c_str(), spec,
+                      "targets node " + std::to_string(ev.node) + " of a " +
+                          std::to_string(num_nodes) + "-node network");
     }
     if (cfg.gating == GatingKind::kFinePort && !cfg.fault.empty()) {
         die_value("--gating", "fineport",
