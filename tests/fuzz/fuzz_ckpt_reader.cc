@@ -13,7 +13,10 @@
  *   3. decode_point_spec(): the full MultiNocConfig/traffic/params
  *      wire codec behind the sealed spec container;
  *   4. scan_journal(): the torn-tail-tolerant journal scan, plus a
- *      re-append/re-scan round-trip over whatever it accepted.
+ *      re-append/re-scan round-trip over whatever it accepted;
+ *   5. MultiNoc::Deserialize() of a fixed small faulted network
+ *      (fuzz_network.h) over the raw bytes: every component decoder,
+ *      field lists and exact-count checks included.
  *
  * Build with -fsanitize=fuzzer,address,undefined (CATNAP_FUZZ=ON,
  * Clang only — see tests/fuzz/CMakeLists.txt). Seed corpus comes from
@@ -28,6 +31,7 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/journal.h"
 #include "exec/point_codec.h"
+#include "fuzz_network.h"
 
 using namespace catnap;
 
@@ -96,6 +100,14 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     if (again.records.size() != scan.records.size() ||
         again.discarded_bytes != 0)
         __builtin_trap();
+
+    // 5. A network payload (the seed corpus holds one taken mid-traffic).
+    try {
+        MultiNoc net(fuzz_network_config());
+        ckpt::Reader r(bytes);
+        net.Deserialize(r);
+    } catch (const ckpt::CkptError &) {
+    }
 
     return 0;
 }

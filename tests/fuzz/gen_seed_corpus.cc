@@ -17,7 +17,9 @@
 #include "ckpt/schema.h"
 #include "exec/point_codec.h"
 #include "exec/sweep_runner.h"
+#include "fuzz_network.h"
 #include "noc/multinoc.h"
+#include "traffic/synthetic.h"
 
 using namespace catnap;
 
@@ -66,6 +68,20 @@ main(int argc, char **argv)
     fields.put_string("seed corpus");
     ckpt::write_file(dir + "/fields.bin", fields.bytes());
 
-    std::printf("wrote 4 seed inputs to %s\n", dir.c_str());
+    // A raw network payload mid-traffic, past the router kill and inside
+    // both wake windows, for the MultiNoc::Deserialize surface.
+    MultiNoc net(fuzz_network_config());
+    SyntheticConfig traffic;
+    traffic.load = 0.2;
+    SyntheticTraffic gen(&net, traffic, 5);
+    while (net.now() < 300) {
+        gen.step(net.now());
+        net.tick();
+    }
+    ckpt::Writer payload;
+    net.Serialize(payload);
+    ckpt::write_file(dir + "/network.bin", payload.bytes());
+
+    std::printf("wrote 5 seed inputs to %s\n", dir.c_str());
     return 0;
 }
