@@ -9,6 +9,7 @@
  * the four message classes (request / forward / data / writeback) have
  * very different volumes.
  */
+#include <cstdint>
 #include <cstdio>
 
 #include "app/system.h"
@@ -16,24 +17,11 @@
 
 using namespace catnap;
 
-namespace {
-
-/** Per-point metrics of one mix x config closed-loop run. */
-struct PartitionPoint
-{
-    double ipc = 0.0;
-    double power = 0.0;
-    double csc = 0.0;
-    double shares[4] = {0, 0, 0, 0};
-};
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kClosureFlags);
+        bench::parse_options(argc, argv, kJobsFlag);
     bench::header("Ablation: class-partitioned subnets (CCNoC [29]) vs "
                   "Catnap");
 
@@ -53,46 +41,24 @@ main(int argc, char **argv)
     };
     const std::vector<WorkloadMix> mixes = {medium_light_mix(),
                                             heavy_mix()};
-
-    // Each point builds its own CmpSystem; fan them out, mix-major.
-    SweepRunner runner(bench::exec_options(opts));
-    const auto flat = runner.map<PartitionPoint>(
-        mixes.size() * configs.size(), [&](std::size_t i) {
-            const MultiNocConfig cfg = configs[i % configs.size()].second;
-            CmpSystem sys(cfg, mixes[i / configs.size()]);
-            sys.run(ap.warmup);
-            PowerMeter meter(sys.net(), 0.625);
-            meter.begin();
-            const auto r0 = sys.total_retired();
-            sys.run(ap.measure);
-            sys.net().finalize_accounting();
-            PartitionPoint p;
-            p.ipc = static_cast<double>(sys.total_retired() - r0) /
-                    static_cast<double>(ap.measure) / 256.0;
-            p.power = meter.report().total();
-            p.csc = meter.csc_percent();
-            double total = 0;
-            for (SubnetId s = 0; s < 4; ++s) {
-                p.shares[s] = static_cast<double>(
-                    sys.net().metrics().injected_flits_in_subnet(s));
-                total += p.shares[s];
-            }
-            for (SubnetId s = 0; s < 4; ++s)
-                p.shares[s] /= total;
-            return p;
-        });
+    const auto grid = bench::run_app_grid(configs, mixes, ap, opts);
 
     for (std::size_t m = 0; m < mixes.size(); ++m) {
         std::printf("\n-- %s --\n", mixes[m].name.c_str());
         std::printf("%-30s %8s %10s %8s %28s\n", "design", "IPC",
                     "power(W)", "CSC(%)", "subnet flit shares");
         for (std::size_t c = 0; c < configs.size(); ++c) {
-            const auto &p = flat[m * configs.size() + c];
-            std::printf("%-30s %8.3f %10.1f %8.1f    "
-                        "%.2f/%.2f/%.2f/%.2f\n",
-                        configs[c].first, p.ipc, p.power, p.csc,
-                        p.shares[0], p.shares[1], p.shares[2],
-                        p.shares[3]);
+            const AppRunResult &r = grid[m][c];
+            double total = 0;
+            for (const std::uint64_t flits : r.injected_flits)
+                total += static_cast<double>(flits);
+            std::printf("%-30s %8.3f %10.1f %8.1f    ", configs[c].first,
+                        r.ipc, r.power.total(), r.csc_percent);
+            for (std::size_t s = 0; s < r.injected_flits.size(); ++s)
+                std::printf("%s%.2f", s == 0 ? "" : "/",
+                            static_cast<double>(r.injected_flits[s]) /
+                                total);
+            std::printf("\n");
         }
     }
     std::printf("\nClass partitioning leaves the data subnet saturated "

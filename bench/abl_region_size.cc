@@ -18,7 +18,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kItemFlags);
+        bench::parse_options(argc, argv, kAllSweepFlags);
     bench::header("Ablation: RCS region size (4NT-128b-PG, transpose)");
 
     const RunParams rp = bench::sweep_params();

@@ -17,7 +17,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kItemFlags);
+        bench::parse_options(argc, argv, kAllSweepFlags);
     bench::header("Ablation: BFM threshold trade-off (4NT-128b-PG, "
                   "uniform random)");
 

@@ -2,13 +2,16 @@
  * @file
  * Shared helpers for the figure/table reproduction harnesses: aligned
  * table printing, the standard phase lengths used across benches, and
- * the common command line plus sweep plumbing over the src/exec/
+ * the common command line plus the two grid runners over the src/exec/
  * execution engine.
  *
- * Every harness accepts --jobs N and --csv FILE. Harnesses whose points
- * are RunItems also take the sweep backend flags of exec/sweep.h
- * (--isolate, --journal, ...) and run through run_sweep(). Any other
- * option is a usage error.
+ * Every harness accepts --jobs N. Harnesses whose points are RunItems
+ * also take the sweep backend flags of exec/sweep.h (--isolate,
+ * --journal, ...) and run through run_sweep() (run_load_grid());
+ * app-workload harnesses map their mix x config grid through
+ * run_app_grid(). --csv FILE is accepted only by a harness that saves
+ * its main sweep, one row per (config, point). Any other option is a
+ * usage error.
  *
  * Results are bit-identical for every --jobs value and backend: points
  * run on private state and result i lands in slot i regardless of which
@@ -28,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "app/system.h"
 #include "exec/sweep.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
@@ -83,34 +87,33 @@ struct BenchOptions : SweepOptions
     std::string csv;
 };
 
-/** The flags a harness accepts beyond --csv (parse_options()). */
-enum BenchFlags : unsigned {
-    /** Points are closures or app workloads: --jobs only. */
-    kClosureFlags = kJobsFlag,
-    /** Points are RunItems: every sweep backend flag. */
-    kItemFlags = kAllSweepFlags,
-};
+/** parse_options() flag group beyond the SweepFlags groups: --csv FILE,
+ * for a harness that saves its main sweep (maybe_save_csv()). */
+inline constexpr unsigned kCsvFlag = 1u << 31;
 
 /**
- * Parses the shared harness command line. Unknown options are a hard
- * error (exit 2) so typos in reproduce.sh never pass silently; values
- * are parsed strictly (exit 3).
+ * Parses the shared harness command line: the SweepFlags groups and
+ * kCsvFlag set in @p accept. Unknown options are a hard error (exit 2)
+ * so typos in reproduce.sh never pass silently; values are parsed
+ * strictly (exit 3).
  */
 inline BenchOptions
-parse_options(int argc, char **argv, BenchFlags accept)
+parse_options(int argc, char **argv, unsigned accept)
 {
     BenchOptions opts;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (parse_sweep_flag(argc, argv, i, accept, opts))
             continue;
-        if (a == "--csv") {
+        if (a == "--csv" && (accept & kCsvFlag) != 0) {
             opts.csv = need_value(argc, argv, i);
         } else if (a == "--help" || a == "-h") {
-            std::printf("usage: %s [options]\n"
-                        "  --csv FILE                save the main sweep "
-                        "as CSV\n%s",
-                        argv[0], sweep_flags_help(accept).c_str());
+            std::printf("usage: %s [options]\n%s%s", argv[0],
+                        (accept & kCsvFlag) != 0
+                            ? "  --csv FILE                save the main "
+                              "sweep as CSV\n"
+                            : "",
+                        sweep_flags_help(accept).c_str());
             std::exit(0);
         } else {
             std::fprintf(stderr, "%s: unknown option '%s' (try --help)\n",
@@ -120,15 +123,6 @@ parse_options(int argc, char **argv, BenchFlags accept)
     }
     check_sweep_options(opts);
     return opts;
-}
-
-/** Bridges the shared CLI options into an execution-engine policy. */
-inline ExecOptions
-exec_options(const BenchOptions &opts)
-{
-    ExecOptions eo;
-    eo.jobs = opts.jobs;
-    return eo;
 }
 
 /** A display name plus the network configuration it labels. */
@@ -141,6 +135,21 @@ point(const MultiNocConfig &cfg, SyntheticConfig traffic,
 {
     traffic.load = load;
     return RunItem{cfg, traffic, rp};
+}
+
+/** Cuts @p flat into consecutive rows of @p width results each. */
+template <typename Result>
+std::vector<std::vector<Result>>
+to_grid(const std::vector<Result> &flat, std::size_t width)
+{
+    std::vector<std::vector<Result>> grid(width == 0 ? 0
+                                                     : flat.size() / width);
+    for (std::size_t r = 0; r < grid.size(); ++r) {
+        const auto first =
+            flat.begin() + static_cast<std::ptrdiff_t>(r * width);
+        grid[r].assign(first, first + static_cast<std::ptrdiff_t>(width));
+    }
+    return grid;
 }
 
 /**
@@ -160,15 +169,7 @@ run_load_grid(const std::vector<MultiNocConfig> &configs,
         for (double load : loads)
             items.push_back(point(cfg, traffic, rp, load));
 
-    const std::vector<SyntheticResult> flat = sweep_or_exit(items, opts);
-    std::vector<std::vector<SyntheticResult>> grid(configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        const auto first =
-            flat.begin() + static_cast<std::ptrdiff_t>(c * loads.size());
-        grid[c].assign(first,
-                       first + static_cast<std::ptrdiff_t>(loads.size()));
-    }
-    return grid;
+    return to_grid(sweep_or_exit(items, opts), loads.size());
 }
 
 /** run_load_grid() over named configurations. */
@@ -222,21 +223,46 @@ config_names(const std::vector<NamedConfig> &configs)
 }
 
 /**
- * Saves a config-major grid (flattened back to item order) when the
+ * Saves a grid (flattened back to item order, grid[0] first) when the
  * harness was invoked with --csv; no-op otherwise.
  */
-inline void
+template <typename Result>
+void
 maybe_save_csv(const BenchOptions &opts,
-               const std::vector<std::vector<SyntheticResult>> &grid)
+               const std::vector<std::vector<Result>> &grid)
 {
     if (opts.csv.empty())
         return;
-    std::vector<SyntheticResult> rows;
-    for (const auto &per_cfg : grid)
-        rows.insert(rows.end(), per_cfg.begin(), per_cfg.end());
+    std::vector<Result> rows;
+    for (const auto &row : grid)
+        rows.insert(rows.end(), row.begin(), row.end());
     save_csv(opts.csv, rows);
     std::printf("\n[csv] wrote %zu rows to %s\n", rows.size(),
                 opts.csv.c_str());
+}
+
+/**
+ * Runs every |mixes| x |configs| closed-loop point through
+ * run_app_workload() on one SweepRunner of opts.jobs workers and
+ * returns the grid mix-major (grid[m][c]), bit-identical to the nested
+ * serial loops. With --csv the grid is saved in that order.
+ */
+inline std::vector<std::vector<AppRunResult>>
+run_app_grid(const std::vector<NamedConfig> &configs,
+             const std::vector<WorkloadMix> &mixes, const AppRunParams &ap,
+             const BenchOptions &opts)
+{
+    SweepRunner runner(ExecOptions{opts.jobs});
+    auto grid = to_grid(
+        runner.map<AppRunResult>(
+            mixes.size() * configs.size(),
+            [&](std::size_t i) {
+                return run_app_workload(configs[i % configs.size()].second,
+                                        mixes[i / configs.size()], ap);
+            }),
+        configs.size());
+    maybe_save_csv(opts, grid);
+    return grid;
 }
 
 } // namespace catnap::bench

@@ -36,7 +36,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kItemFlags);
+        bench::parse_options(argc, argv, kAllSweepFlags);
     bench::header("Extension: fault resilience, staggered router kills "
                   "(8x8, 4NT-128b-PG, uniform 0.10)");
 

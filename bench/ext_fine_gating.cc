@@ -16,7 +16,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kItemFlags);
+        bench::parse_options(argc, argv, kAllSweepFlags | bench::kCsvFlag);
     bench::header("Extension: per-port gating (1NT-512b-PPG) vs "
                   "router-idle PG vs Catnap");
 

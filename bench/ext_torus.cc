@@ -22,7 +22,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kItemFlags);
+        bench::parse_options(argc, argv, kAllSweepFlags | bench::kCsvFlag);
     bench::header("Extension: Catnap on a concentrated torus (8x8, "
                   "4NT-128b-PG)");
 

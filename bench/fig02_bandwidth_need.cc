@@ -18,7 +18,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kClosureFlags);
+        bench::parse_options(argc, argv, kJobsFlag | bench::kCsvFlag);
     bench::header("Figure 2: per-core bandwidth need (normalized perf)");
 
     AppRunParams ap;
@@ -27,20 +27,16 @@ main(int argc, char **argv)
 
     // Four independent closed-loop runs: {Light, Heavy} x {128b, 512b}.
     const std::vector<WorkloadMix> mixes = {light_mix(), heavy_mix()};
-    SweepRunner runner(bench::exec_options(opts));
-    const auto res = runner.map<AppRunResult>(
-        mixes.size() * 2, [&](std::size_t i) {
-            const int width = i % 2 == 0 ? 128 : 512;
-            return run_app_workload(single_noc_config(width),
-                                    mixes[i / 2], ap);
-        });
+    const auto res = bench::run_app_grid(
+        {{"128b", single_noc_config(128)}, {"512b", single_noc_config(512)}},
+        mixes, ap, opts);
 
     std::printf("%-14s %18s %18s %12s\n", "workload", "128b-Single-NoC",
                 "512b-Single-NoC", "128b/512b");
     double heavy_ratio = 0.0, light_ratio = 0.0;
     for (std::size_t m = 0; m < mixes.size(); ++m) {
-        const auto &r128 = res[m * 2];
-        const auto &r512 = res[m * 2 + 1];
+        const auto &r128 = res[m][0];
+        const auto &r512 = res[m][1];
         const double ratio = r128.ipc / r512.ipc;
         std::printf("%-14s %18.3f %18.3f %12.3f\n",
                     mixes[m].name.c_str(), ratio, 1.0, ratio);

@@ -19,7 +19,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kItemFlags);
+        bench::parse_options(argc, argv, kAllSweepFlags | bench::kCsvFlag);
     bench::header("Figure 6a: saturation throughput vs subnet count");
 
     const RunParams rp = bench::sweep_params();

@@ -21,7 +21,7 @@ main(int argc, char **argv)
 {
     // Analytic (no simulation runs); accepts the shared CLI so
     // reproduce.sh can pass --jobs uniformly.
-    bench::parse_options(argc, argv, bench::kClosureFlags);
+    bench::parse_options(argc, argv, kJobsFlag);
     bench::header("Figure 7: network power by component, load factor 0.5");
 
     struct Bar

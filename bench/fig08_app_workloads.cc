@@ -18,13 +18,7 @@ using namespace catnap;
 
 namespace {
 
-struct ConfigSpec
-{
-    const char *name;
-    MultiNocConfig cfg;
-};
-
-std::vector<ConfigSpec>
+std::vector<bench::NamedConfig>
 figure8_configs()
 {
     return {
@@ -45,7 +39,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kClosureFlags);
+        bench::parse_options(argc, argv, kJobsFlag | bench::kCsvFlag);
     bench::header("Figure 8: app workloads -- network power and "
                   "normalized performance");
 
@@ -56,27 +50,19 @@ main(int argc, char **argv)
     const auto configs = figure8_configs();
     const auto mixes = table3_mixes();
 
-    // All mix x config runs are independent; fan them out, mix-major.
-    SweepRunner runner(bench::exec_options(opts));
-    const auto flat = runner.map<AppRunResult>(
-        mixes.size() * configs.size(), [&](std::size_t i) {
-            return run_app_workload(configs[i % configs.size()].cfg,
-                                    mixes[i / configs.size()], ap);
-        });
+    const auto results = bench::run_app_grid(configs, mixes, ap, opts);
 
     // Power table (left plot).
     std::printf("\n-- Network power (W): static / dynamic / total --\n");
     std::printf("%-14s", "workload");
     for (const auto &c : configs)
-        std::printf(" %21s", c.name);
+        std::printf(" %21s", c.first);
     std::printf("\n");
 
-    std::vector<std::vector<AppRunResult>> results(mixes.size());
     for (std::size_t m = 0; m < mixes.size(); ++m) {
         std::printf("%-14s", mixes[m].name.c_str());
         for (std::size_t c = 0; c < configs.size(); ++c) {
-            const auto &r = flat[m * configs.size() + c];
-            results[m].push_back(r);
+            const auto &r = results[m][c];
             std::printf("   %5.1f /%5.1f /%6.1f",
                         r.power_static.total(),
                         r.power.total() - r.power_static.total(),
@@ -103,7 +89,7 @@ main(int argc, char **argv)
     std::printf("\n-- Normalized system performance (vs 1NT-512b) --\n");
     std::printf("%-14s", "workload");
     for (const auto &c : configs)
-        std::printf(" %12s", c.name);
+        std::printf(" %12s", c.first);
     std::printf("\n");
     std::vector<double> avg_perf(configs.size(), 0.0);
     for (std::size_t m = 0; m < mixes.size(); ++m) {

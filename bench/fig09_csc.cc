@@ -17,7 +17,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kClosureFlags);
+        bench::parse_options(argc, argv, kJobsFlag | bench::kCsvFlag);
     bench::header("Figure 9: compensated sleep cycles (% of time)");
 
     AppRunParams ap;
@@ -31,12 +31,7 @@ main(int argc, char **argv)
     };
 
     const auto mixes = table3_mixes();
-    SweepRunner runner(bench::exec_options(opts));
-    const auto flat = runner.map<AppRunResult>(
-        mixes.size() * configs.size(), [&](std::size_t i) {
-            return run_app_workload(configs[i % configs.size()].second,
-                                    mixes[i / configs.size()], ap);
-        });
+    const auto grid = bench::run_app_grid(configs, mixes, ap, opts);
 
     std::printf("%-14s %14s %14s %14s\n", "workload", configs[0].first,
                 configs[1].first, configs[2].first);
@@ -47,7 +42,7 @@ main(int argc, char **argv)
     for (std::size_t m = 0; m < mixes.size(); ++m) {
         std::printf("%-14s", mixes[m].name.c_str());
         for (std::size_t c = 0; c < configs.size(); ++c) {
-            const auto &r = flat[m * configs.size() + c];
+            const auto &r = grid[m][c];
             std::printf(" %14.1f", r.csc_percent);
             avg[c] += r.csc_percent / static_cast<double>(mixes.size());
             if (c == 2 && mixes[m].name == "Light")

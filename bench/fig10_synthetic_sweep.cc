@@ -18,7 +18,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kItemFlags);
+        bench::parse_options(argc, argv, kAllSweepFlags | bench::kCsvFlag);
     bench::header("Figure 10: uniform random, power/CSC/throughput/latency"
                   " vs offered load");
 

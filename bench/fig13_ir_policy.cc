@@ -19,7 +19,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kItemFlags);
+        bench::parse_options(argc, argv, kAllSweepFlags);
     bench::header("Figure 13: IR subnet-selection policy threshold sweep "
                   "(4NT-128b, no PG)");
 

@@ -33,7 +33,7 @@ int
 main(int argc, char **argv)
 {
     const bench::BenchOptions opts =
-        bench::parse_options(argc, argv, bench::kItemFlags);
+        bench::parse_options(argc, argv, kAllSweepFlags | bench::kCsvFlag);
     bench::header("Figure 14: 64-core processor (4x4 cmesh, 256-bit "
                   "aggregate)");
 

@@ -16,7 +16,7 @@ main(int argc, char **argv)
 {
     // Analytic (no simulation runs); accepts the shared CLI so
     // reproduce.sh can pass --jobs uniformly.
-    bench::parse_options(argc, argv, bench::kClosureFlags);
+    bench::parse_options(argc, argv, kJobsFlag);
     bench::header("Table 2: router width vs frequency vs voltage");
 
     std::printf("%-12s %14s %16s %12s\n", "design", "width (bits)",

@@ -286,6 +286,9 @@ run_app_workload(const MultiNocConfig &net_cfg, const WorkloadMix &mix,
     res.vdd = vdd;
     res.power = meter.report();
     res.power_static = meter.report_static();
+    for (SubnetId s = 0; s < cfg.num_subnets; ++s)
+        res.injected_flits.push_back(
+            system.net().metrics().injected_flits_in_subnet(s));
     return res;
 }
 

@@ -96,17 +96,6 @@ class CmpSystem
     /** Aggregate instructions retired by all cores. */
     std::uint64_t total_retired() const;
 
-    /** System IPC per core since construction. */
-    double
-    system_ipc() const
-    {
-        return net_->now() == 0
-                   ? 0.0
-                   : static_cast<double>(total_retired()) /
-                         static_cast<double>(net_->now()) /
-                         static_cast<double>(cores_.size());
-    }
-
     /** The embedded network. */
     MultiNoc &net() { return *net_; }
     const MultiNoc &net() const { return *net_; }
@@ -226,6 +215,9 @@ struct AppRunResult
     double vdd = 0.0;
     PowerBreakdown power;
     PowerBreakdown power_static;
+    /** Flits injected into each subnet since cycle 0, warm-up included
+     * (NetMetrics::injected_flits_in_subnet). */
+    std::vector<std::uint64_t> injected_flits;
 };
 
 /** Runs @p mix on @p net_cfg and reports Figure 8/9-style metrics. */

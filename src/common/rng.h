@@ -87,14 +87,6 @@ class Rng
         return static_cast<std::uint64_t>(m >> 64);
     }
 
-    /** Returns a uniform int in [lo, hi] inclusive. */
-    int
-    next_int(int lo, int hi)
-    {
-        return lo + static_cast<int>(
-            next_below(static_cast<std::uint64_t>(hi - lo + 1)));
-    }
-
     /** Returns true with probability @p p (clamped to [0,1]). */
     bool
     bernoulli(double p)

@@ -7,7 +7,6 @@
 #define CATNAP_COMMON_STATS_H
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -58,9 +57,6 @@ class RunningStat
     {
         return n_ > 1 ? m2_ / static_cast<double>(n_) : 0.0;
     }
-
-    /** Population standard deviation. */
-    double stddev() const { return std::sqrt(variance()); }
 
     /** Minimum sample, or 0 if empty. */
     double min() const { return n_ ? min_ : 0.0; }

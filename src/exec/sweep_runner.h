@@ -48,8 +48,8 @@ struct RunItem
  * returned vector.
  *
  * The generic core under run_batch(), usable for any per-point result
- * type (bench harnesses run app workloads and custom metrics through
- * it). Exceptions: every point is attempted (independent points are not
+ * type (bench::run_app_grid() runs the app-workload harnesses' points
+ * through it). Exceptions: every point is attempted (independent points are not
  * cancelled by a failure); after the batch drains, the error of the
  * *lowest-indexed* failing point is rethrown, so failure is as
  * deterministic as success (ThreadPool::for_each).

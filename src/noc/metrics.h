@@ -160,12 +160,6 @@ class NetMetrics
         return injected_flits_per_subnet_[static_cast<std::size_t>(s)];
     }
 
-    // Windowed (steady-state) counters ------------------------------------
-    std::uint64_t offered_packets_window() const { return offered_packets_window_; }
-    std::uint64_t ejected_packets_window() const { return ejected_packets_window_; }
-    std::uint64_t offered_flits_window() const { return offered_flits_window_; }
-    std::uint64_t ejected_flits_window() const { return ejected_flits_window_; }
-
     /** Latency from packet creation to tail ejection (includes queuing). */
     const RunningStat &total_latency() const { return total_latency_; }
 

@@ -69,7 +69,6 @@ MultiNoc::MultiNoc(const MultiNocConfig &cfg)
     subnet_params_.vc_depth_flits = cfg.vc_depth_flits;
     subnet_params_.num_classes = cfg.num_classes;
     subnet_params_.t_wakeup = cfg.t_wakeup;
-    subnet_params_.wakeup_hidden = cfg.wakeup_hidden;
     subnet_params_.t_breakeven = cfg.t_breakeven;
     subnet_params_.t_idle_detect = cfg.t_idle_detect;
     subnet_params_.port_gating = cfg.gating == GatingKind::kFinePort;

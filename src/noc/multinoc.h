@@ -72,6 +72,8 @@ struct MultiNocConfig
 
     // Timing knobs forwarded into SubnetParams.
     int t_wakeup = 10;
+    /** Not forwarded: no model code reads it. Kept because it is part
+     * of the config hash (ckpt/schema.h). */
     int wakeup_hidden = 3;
     int t_breakeven = 12;
     int t_idle_detect = 4;
@@ -129,9 +131,6 @@ class MultiNoc
      * per potential event.
      */
     void set_event_sink(EventSink *sink);
-
-    /** The attached trace-event sink, or null. */
-    EventSink *event_sink() const { return sink_; }
 
     /** Current cycle (number of completed ticks). */
     Cycle now() const { return now_; }
@@ -203,9 +202,6 @@ class MultiNoc
      * across the whole network (the paper's CSC metric, Section 6.1).
      */
     double csc_percent() const;
-
-    /** Deterministic RNG stream derived from the config seed. */
-    Rng make_rng() { return rng_.split(); }
 
     /**
      * The fault controller, or null when the configured FaultPlan is

@@ -117,9 +117,6 @@ class NetworkInterface
     /** The destination saw packet @p id's tail eject; stop tracking. */
     CATNAP_SHARD_SAFE CATNAP_PHASE_WRITE void ack_packet(PacketId id);
 
-    /** Packets this NI is tracking toward delivery (tests). */
-    std::size_t outstanding_packets() const { return outstanding_.size(); }
-
     // -- Observability ----------------------------------------------------
 
     /** Flits currently occupying the bounded NI injection queue. */

@@ -46,9 +46,6 @@ struct SubnetParams
     /** Cycles to transition sleep -> active (paper SPICE: 10). */
     int t_wakeup = 10;
 
-    /** Wake-up cycles hidden by the look-ahead wake signal (paper: 3). */
-    int wakeup_hidden = 3;
-
     /** Sleep cycles needed to amortize one gating transition (paper: 12). */
     int t_breakeven = 12;
 

@@ -28,15 +28,4 @@ event_kind_name(EventKind k)
     return "?";
 }
 
-const char *
-wake_reason_name(WakeReason r)
-{
-    switch (r) {
-      case WakeReason::kLookahead: return "lookahead";
-      case WakeReason::kRcs:       return "rcs";
-      case WakeReason::kRetry:     return "retry";
-    }
-    return "?";
-}
-
 } // namespace catnap

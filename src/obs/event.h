@@ -111,9 +111,6 @@ enum class WakeReason : std::int8_t {
 /** Stable machine-readable name for @p k (used by the exporters). */
 const char *event_kind_name(EventKind k);
 
-/** Human-readable name for @p r. */
-const char *wake_reason_name(WakeReason r);
-
 /** One cycle-stamped observation. POD, 32 bytes. */
 struct TraceEvent
 {

@@ -213,6 +213,48 @@ TEST(CmpSystem, DeterministicAcrossRuns)
     EXPECT_EQ(run(), run());
 }
 
+// Oracle: the hand-driven loop bench/abl_class_partition ran before it
+// went through run_app_workload(), given the same seeds and measurement
+// window. IPC, CSC and the per-subnet flit counts must agree exactly.
+TEST(CmpSystem, RunAppWorkloadMatchesAHandDrivenLoop)
+{
+    const MultiNocConfig base =
+        multi_noc_config(4, GatingKind::kCatnap, SelectorKind::kCatnap);
+    const WorkloadMix mix = heavy_mix();
+    AppRunParams ap;
+    ap.warmup = 500;
+    ap.measure = 2000;
+    const AppRunResult r = run_app_workload(base, mix, ap);
+
+    MultiNocConfig cfg = base;
+    cfg.seed = ap.seed;
+    SystemParams sp;
+    sp.seed = ap.seed;
+    CmpSystem sys(cfg, mix, sp);
+    sys.net().metrics().set_measurement_window(ap.warmup,
+                                               ap.warmup + ap.measure);
+    sys.run(ap.warmup);
+    PowerMeter meter(sys.net(), 0.625); // CSC does not depend on VDD
+    meter.begin();
+    const std::uint64_t r0 = sys.total_retired();
+    sys.run(ap.measure);
+    sys.net().finalize_accounting();
+
+    EXPECT_EQ(r.ipc, static_cast<double>(sys.total_retired() - r0) /
+                         static_cast<double>(ap.measure) / 256.0);
+    EXPECT_EQ(r.csc_percent, meter.csc_percent());
+    ASSERT_EQ(r.injected_flits.size(), 4u);
+    std::uint64_t total = 0;
+    for (SubnetId s = 0; s < 4; ++s) {
+        EXPECT_EQ(r.injected_flits[static_cast<std::size_t>(s)],
+                  sys.net().metrics().injected_flits_in_subnet(s))
+            << "subnet " << s;
+        total += r.injected_flits[static_cast<std::size_t>(s)];
+    }
+    EXPECT_EQ(total, sys.net().metrics().injected_flits());
+    EXPECT_GT(r.injected_flits[1], 0u); // Heavy spills past subnet 0
+}
+
 TEST(CmpSystem, McNodesAreValid)
 {
     MultiNocConfig cfg = multi_noc_config(4);

@@ -8,10 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <optional>
-#include <set>
 
-#include "noc/arbiter.h"
 #include "noc/multinoc.h"
 #include "test_util.h"
 #include "traffic/synthetic.h"
@@ -151,34 +148,6 @@ TEST(RouterUnit, ArbitrationIsStarvationFree)
                          static_cast<double>(delivered[1]);
     EXPECT_GT(ratio, 0.8);
     EXPECT_LT(ratio, 1.25);
-}
-
-TEST(RouterUnit, RoundRobinArbiterRotates)
-{
-    RoundRobinArbiter arb(4);
-    std::vector<bool> req{true, true, true, true};
-    std::set<int> grants;
-    for (int i = 0; i < 4; ++i) {
-        const std::optional<int> g = arb.arbitrate(req);
-        ASSERT_TRUE(g.has_value());
-        grants.insert(*g);
-    }
-    EXPECT_EQ(grants.size(), 4u); // all requestors served in 4 rounds
-}
-
-TEST(RouterUnit, ArbiterNoRequestsNoGrant)
-{
-    RoundRobinArbiter arb(3);
-    std::vector<bool> req{false, false, false};
-    EXPECT_EQ(arb.arbitrate(req), std::nullopt);
-    EXPECT_EQ(arb.priority(), 0); // pointer does not move on no-grant
-}
-
-TEST(RouterUnit, ArbiterWidthMismatchPanics)
-{
-    RoundRobinArbiter arb(3);
-    std::vector<bool> req{true, true};
-    EXPECT_THROW(arb.arbitrate(req), std::runtime_error);
 }
 
 TEST(RouterUnit, PowerStateQueriesOnFreshRouter)

@@ -63,7 +63,7 @@ usage(int code)
         "                            completion; all other flags must\n"
         "                            match the saving run (hash-checked)\n"
         "  --ckpt-every N            periodic save interval in cycles\n"
-        "observability (synthetic mode):\n"
+        "observability (synthetic single-run mode):\n"
         "  --trace-out FILE          write Chrome trace-event JSON\n"
         "                            (open in Perfetto / chrome://tracing)\n"
         "  --trace-jsonl FILE        write the raw event stream as JSONL\n"
@@ -490,6 +490,18 @@ main(int argc, char **argv)
         (mode != "synthetic" || loads.empty())) {
         std::fprintf(stderr, "--isolate and --journal apply to synthetic "
                              "--loads sweeps\n");
+        usage(kExitUsage);
+    }
+    if (!csv_out.empty() && (mode != "synthetic" || loads.empty())) {
+        std::fprintf(stderr, "--csv saves a synthetic --loads sweep\n");
+        usage(kExitUsage);
+    }
+    if (mode == "app" &&
+        (!trace_out.empty() || !trace_jsonl.empty() || snapshot_every > 0 ||
+         !save_ckpt.empty() || !load_ckpt.empty())) {
+        std::fprintf(stderr, "tracing, snapshots and checkpoints record a "
+                             "synthetic run; not available with --mode "
+                             "app\n");
         usage(kExitUsage);
     }
     cfg.congestion.threshold =

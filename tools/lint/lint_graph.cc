@@ -673,6 +673,37 @@ classify_base(const Program &prog, const FunctionDef &d,
     return c;
 }
 
+/**
+ * Fills @p a with what a reference bound to @p base stands for (the
+ * `auto &name = base` rule): a member, a peer or a parameter. False
+ * when @p base reaches no storage a chain can name.
+ */
+bool
+reference_alias(const ChainCtx &base, Alias &a)
+{
+    switch (base.kind) {
+      case ChainCtx::Kind::kOwn:
+      case ChainCtx::Kind::kOwnedField:
+        if (base.key.empty())
+            return false;
+        a.kind = Alias::Kind::kMemberRef;
+        a.field = base.key;
+        a.cls = base.cls;
+        return true;
+      case ChainCtx::Kind::kPeer:
+        a.kind = Alias::Kind::kPeer;
+        a.cls = base.cls;
+        return true;
+      case ChainCtx::Kind::kParam:
+        a.kind = Alias::Kind::kParamRef;
+        a.param = base.param;
+        a.cls = base.cls;
+        return true;
+      default:
+        return false;
+    }
+}
+
 /** Records one resolved access on the current chain context. */
 void
 record_access(FunctionDef &d, const ChainCtx &c, bool write, int line)
@@ -809,34 +840,46 @@ scan_body(const Program &prog, const std::vector<Token> &t,
                     continue;
                 is_iter = true;
             }
-            const ChainCtx base =
-                classify_base(prog, d, aliases, t[k].text);
             Alias a;
             a.iter = is_iter;
-            switch (base.kind) {
-              case ChainCtx::Kind::kOwn:
-              case ChainCtx::Kind::kOwnedField:
-                if (base.key.empty())
-                    continue;
-                a.kind = Alias::Kind::kMemberRef;
-                a.field = base.key;
-                a.cls = base.cls;
-                break;
-              case ChainCtx::Kind::kPeer:
-                a.kind = Alias::Kind::kPeer;
-                a.cls = base.cls;
-                break;
-              case ChainCtx::Kind::kParam:
-                a.kind = Alias::Kind::kParamRef;
-                a.param = base.param;
-                a.cls = base.cls;
-                break;
-              default:
+            if (!reference_alias(
+                    classify_base(prog, d, aliases, t[k].text), a))
                 continue;
-            }
             aliases[name] = a;
             decl_tokens.insert(name_idx);
             decl_tokens.insert(k);
+            continue;
+        }
+        // `for (<T> [const] &name : base...)` for any element type T
+        // (`int`, `Cycle`, `std::vector<int>`): bound like `auto &`.
+        // The typed rules below run later over the same header and
+        // refine a class or container-of-class element.
+        if (id == "for" && i + 1 < body_close && t[i + 1].text == "(") {
+            std::size_t k = i + 2;
+            int depth = 0;
+            for (; k < body_close; ++k) {
+                const std::string &s2 = t[k].text;
+                if (s2 == "(" || s2 == "[") {
+                    ++depth;
+                } else if (s2 == ")" || s2 == "]") {
+                    if (depth-- == 0)
+                        break;
+                } else if (s2 == ";" || (s2 == ":" && depth == 0)) {
+                    break;
+                }
+            }
+            if (k + 1 >= body_close || t[k].text != ":" || k < i + 5 ||
+                (t[k - 2].text != "&" && t[k - 2].text != "&&") ||
+                !is_ident_start(t[k - 1].text[0]) ||
+                !is_ident_start(t[k + 1].text[0]))
+                continue;
+            Alias a;
+            if (!reference_alias(
+                    classify_base(prog, d, aliases, t[k + 1].text), a))
+                continue;
+            aliases[t[k - 1].text] = a;
+            decl_tokens.insert(k - 1);
+            decl_tokens.insert(k + 1);
             continue;
         }
         // `std::<container><Cls> [const] & name =|: base` — a

@@ -34,7 +34,6 @@ model_params()
     p.st_delay = 1;
     p.credit_delay = 1;
     p.t_wakeup = 2;
-    p.wakeup_hidden = 0;
     p.t_breakeven = 3;
     p.t_idle_detect = 1;
     p.port_gating = false;
