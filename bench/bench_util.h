@@ -5,13 +5,14 @@
  * the common command line plus the two grid runners over the src/exec/
  * execution engine.
  *
- * Every harness accepts --jobs N. Harnesses whose points are RunItems
+  * Every harness accepts --jobs N. Harnesses whose points are RunItems
  * also take the sweep backend flags of exec/sweep.h (--isolate,
- * --journal, ...) and run through run_sweep() (run_load_grid());
+ * --journal, ...) and run their grid as one run_sweep() call;
  * app-workload harnesses map their mix x config grid through
  * run_app_grid(). --csv FILE is accepted only by a harness that saves
- * its main sweep, one row per (config, point). Any other option is a
- * usage error.
+ * its main sweep, one row per (config, point). Each harness's flag
+ * table is built from the shared entries, so --help lists exactly the
+ * flags it accepts and any other option is a usage error.
  *
  * Results are bit-identical for every --jobs value and backend: points
  * run on private state and result i lands in slot i regardless of which
@@ -25,7 +26,6 @@
 #define CATNAP_BENCH_BENCH_UTIL_H
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <utility>
@@ -91,37 +91,18 @@ struct BenchOptions : SweepOptions
  * for a harness that saves its main sweep (maybe_save_csv()). */
 inline constexpr unsigned kCsvFlag = 1u << 31;
 
-/**
- * Parses the shared harness command line: the SweepFlags groups and
- * kCsvFlag set in @p accept. Unknown options are a hard error (exit 2)
- * so typos in reproduce.sh never pass silently; values are parsed
- * strictly (exit 3).
- */
+/** Parses the shared harness command line: the sweep_flags() groups
+ * and kCsvFlag set in @p accept. Unknown options exit 2, so typos in
+ * reproduce.sh never pass silently; bad values exit 3. */
 inline BenchOptions
 parse_options(int argc, char **argv, unsigned accept)
 {
     BenchOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (parse_sweep_flag(argc, argv, i, accept, opts))
-            continue;
-        if (a == "--csv" && (accept & kCsvFlag) != 0) {
-            opts.csv = need_value(argc, argv, i);
-        } else if (a == "--help" || a == "-h") {
-            std::printf("usage: %s [options]\n%s%s", argv[0],
-                        (accept & kCsvFlag) != 0
-                            ? "  --csv FILE                save the main "
-                              "sweep as CSV\n"
-                            : "",
-                        sweep_flags_help(accept).c_str());
-            std::exit(0);
-        } else {
-            std::fprintf(stderr, "%s: unknown option '%s' (try --help)\n",
-                         argv[0], a.c_str());
-            std::exit(kExitUsage);
-        }
-    }
-    check_sweep_options(opts);
+    CommandLine cli{std::string("usage: ") + argv[0] + " [options]",
+                    sweep_flags(opts, accept)};
+    if ((accept & kCsvFlag) != 0)
+        cli.flags.push_back(csv_flag(opts.csv));
+    parse_command_line(argc, argv, cli);
     return opts;
 }
 

@@ -59,14 +59,19 @@ main(int argc, char **argv)
                                     PatternKind::kTranspose,
                                     PatternKind::kBitComplement};
 
-    // One batch covers all three patterns; pattern-major grids.
-    std::vector<std::vector<std::vector<SyntheticResult>>> res;
+    // One sweep covers all three patterns: res[pattern][config][load].
+    std::vector<RunItem> items;
     for (const PatternKind pattern : patterns) {
         SyntheticConfig traffic;
         traffic.pattern = pattern;
-        res.push_back(
-            bench::run_load_grid(configs, loads, traffic, rp, opts));
+        for (const auto &config : configs)
+            for (const double load : loads)
+                items.push_back(
+                    bench::point(config.second, traffic, rp, load));
     }
+    const auto res = bench::to_grid(
+        bench::to_grid(sweep_or_exit(items, opts), loads.size()),
+        configs.size());
 
     const auto names = bench::config_names(configs);
     for (std::size_t p = 0; p < 3; ++p) {

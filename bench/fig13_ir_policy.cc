@@ -40,21 +40,31 @@ main(int argc, char **argv)
         configs.push_back(cfg);
     }
 
-    for (const PatternKind pattern :
-         {PatternKind::kUniformRandom, PatternKind::kTranspose}) {
+    // One sweep covers both patterns: res[pattern][config][load].
+    const PatternKind patterns[] = {PatternKind::kUniformRandom,
+                                    PatternKind::kTranspose};
+    std::vector<RunItem> items;
+    for (const PatternKind pattern : patterns) {
         SyntheticConfig traffic;
         traffic.pattern = pattern;
-        const auto res =
-            bench::run_load_grid(configs, loads, traffic, rp, opts);
+        for (const MultiNocConfig &cfg : configs)
+            for (const double load : loads)
+                items.push_back(bench::point(cfg, traffic, rp, load));
+    }
+    const auto res = bench::to_grid(
+        bench::to_grid(sweep_or_exit(items, opts), loads.size()),
+        configs.size());
+
+    for (std::size_t p = 0; p < 2; ++p) {
         std::printf("\n-- avg packet latency (cycles), %s --\n%-8s",
-                    pattern_kind_name(pattern), "load");
+                    pattern_kind_name(patterns[p]), "load");
         for (double t : thresholds)
             std::printf("   IR-%4.2f", t);
         std::printf("\n");
         for (std::size_t l = 0; l < loads.size(); ++l) {
             std::printf("%-8.2f", loads[l]);
             for (std::size_t c = 0; c < configs.size(); ++c)
-                std::printf(" %9.1f", res[c][l].avg_latency);
+                std::printf(" %9.1f", res[p][c][l].avg_latency);
             std::printf("\n");
         }
     }

@@ -6,8 +6,10 @@
 # uninterrupted serial in-process run. Then tear the journal's tail and
 # require the second resume after it to replay every point, and require
 # an in-process --jobs 4 sweep resumed from its own journal to replay
-# all 36 points without executing any. A last leg checks that permanent
-# failures produce a deterministic quarantine report.
+# all 36 points without executing any. Figure 13's two traffic patterns
+# must share one sweep: its warm rerun replays all 96 points. A last
+# leg checks that permanent failures produce a deterministic quarantine
+# report.
 #
 # Usage: scripts/chaos_resume.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -15,9 +17,10 @@ cd "$(dirname "$0")/.."
 
 BUILD="${1:-build}"
 FIG10="$BUILD/bench/fig10_synthetic_sweep"
+FIG13="$BUILD/bench/fig13_ir_policy"
 SIM="$BUILD/tools/catnap_sim"
-[ -x "$FIG10" ] && [ -x "$SIM" ] ||
-  { echo "error: build $FIG10 and $SIM first" >&2; exit 2; }
+[ -x "$FIG10" ] && [ -x "$FIG13" ] && [ -x "$SIM" ] ||
+  { echo "error: build $FIG10, $FIG13 and $SIM first" >&2; exit 2; }
 
 WORK="$(mktemp -d chaos_resume.XXXXXX)"
 trap 'rm -rf "$WORK"' EXIT
@@ -112,7 +115,22 @@ cmp "$WORK/baseline.csv" "$WORK/cold.csv" &&
   { echo "error: journalled fig10 CSV differs from the baseline" >&2; exit 1; }
 echo "warm rerun replays all 36 points bit-for-bit, executing none"
 
-echo "== leg 6: quarantine report is deterministic =="
+echo "== leg 6: one journal serves every pattern of a figure =="
+# Figure 13 sweeps two traffic patterns; both must run as one sweep, so
+# the cold run journals all 96 points and the warm rerun replays them.
+"$FIG13" --jobs 4 --journal "$WORK/fig13.journal" > "$WORK/fig13_cold.out" \
+  2> "$WORK/fig13_cold.stderr"
+"$FIG13" --jobs 4 --journal "$WORK/fig13.journal" --resume \
+  > "$WORK/fig13_warm.out" 2> "$WORK/fig13_warm.stderr"
+grep '^\[local\]' "$WORK/fig13_warm.stderr"
+grep -qxF '[local] 0 executed, 96 point(s) from journal, 0 quarantined' \
+  "$WORK/fig13_warm.stderr" ||
+  { echo "error: fig13 warm rerun executed points" >&2; exit 1; }
+cmp "$WORK/fig13_cold.out" "$WORK/fig13_warm.out" ||
+  { echo "error: fig13 warm rerun stdout differs from the cold run" >&2; exit 1; }
+echo "fig13 warm rerun replays all 96 points, executing none"
+
+echo "== leg 7: quarantine report is deterministic =="
 QARGS=(--subnets 2 --gating catnap --loads 0.05,0.10 --warmup 200
        --measure 600 --isolate --worker /bin/false
        --scratch "$WORK/qscratch" --point-retries 1)

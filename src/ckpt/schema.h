@@ -118,8 +118,6 @@ fields(const V &v, T &t)
     v(t.burst_mean_len);
 }
 
-/** RunParams without its observability hooks: they stay null in a
- * decoded copy, since a worker always runs unobserved. */
 template <typename V, typename T>
 If<T, RunParams>
 fields(const V &v, T &p)

@@ -46,6 +46,51 @@ open_journal(const SweepOptions &opts)
                                   : ckpt::JournalWriter::Mode::kTruncate);
 }
 
+/** @p parts separated by @p sep. */
+std::string
+join(const std::vector<std::string> &parts, const char *sep)
+{
+    std::string out;
+    for (const std::string &p : parts)
+        out += (out.empty() ? "" : sep) + p;
+    return out;
+}
+
+/** --help for @p cli: the about text, then each flag with its help at
+ * column 28, under a heading naming the run kinds it applies to
+ * whenever that set changes. */
+std::string
+help_text(const CommandLine &cli)
+{
+    const std::string indent(28, ' ');
+    const auto entry = [&](std::string head, const std::string &help) {
+        head += head.size() < indent.size() ? indent.substr(head.size())
+                                            : "\n" + indent;
+        for (const char c : help)
+            head += c == '\n' ? "\n" + indent : std::string(1, c);
+        return head + "\n";
+    };
+    std::string out =
+        cli.about + "\n" + entry("  --help, -h", "print this help");
+    unsigned heading = kAnyRun;
+    for (const Flag &f : cli.flags) {
+        if (!cli.kinds.empty() && f.kinds != heading) {
+            heading = f.kinds;
+            std::string names;
+            for (std::size_t k = 0; k < cli.kinds.size(); ++k)
+                if (((heading >> k) & 1u) != 0)
+                    names += (names.empty() ? "" : ", ") + cli.kinds[k];
+            out += names + ":\n";
+        }
+        std::string help = f.help;
+        if (!f.needs.empty())
+            help += "\n(needs " + join(f.needs, " or ") + ")";
+        out += entry("  " + f.name + (f.value.empty() ? "" : " " + f.value),
+                     help);
+    }
+    return out;
+}
+
 } // namespace
 
 void
@@ -54,17 +99,6 @@ die_value(const char *flag, const std::string &value, const std::string &why)
     std::fprintf(stderr, "%s: invalid value '%s' for %s: %s\n", prog(),
                  value.c_str(), flag, why.c_str());
     std::exit(kExitBadValue);
-}
-
-const char *
-need_value(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s (try --help)\n",
-                     prog(), argv[i]);
-        std::exit(kExitUsage);
-    }
-    return argv[++i];
 }
 
 long long
@@ -115,96 +149,85 @@ parse_real(const char *flag, const std::string &value, double lo, double hi)
     return v;
 }
 
-bool
-parse_sweep_flag(int argc, char **argv, int &i, unsigned accept,
-                 SweepOptions &opts)
+void
+die_usage(const std::string &why)
 {
-    const std::string a = argv[i];
-    const bool isolate_group = (accept & kIsolateFlags) != 0;
-    const bool journal_group = (accept & kJournalFlags) != 0;
-    if ((accept & kJobsFlag) != 0 && a == "--jobs") {
-        opts.jobs = static_cast<int>(
-            parse_int("--jobs", need_value(argc, argv, i), 0, 4096));
-    } else if (isolate_group && a == "--isolate") {
-        opts.isolate = true;
-    } else if (isolate_group && a == "--worker") {
-        opts.worker = need_value(argc, argv, i);
-    } else if (isolate_group && a == "--scratch") {
-        opts.scratch = need_value(argc, argv, i);
-    } else if (isolate_group && a == "--point-timeout") {
-        opts.point_timeout_ms = static_cast<std::int64_t>(parse_uint(
-            "--point-timeout", need_value(argc, argv, i), 86400000ull));
-    } else if (isolate_group && a == "--point-retries") {
-        opts.point_retries = static_cast<int>(
-            parse_int("--point-retries", need_value(argc, argv, i), 0, 100));
-    } else if (journal_group && a == "--journal") {
-        opts.journal = need_value(argc, argv, i);
-    } else if (journal_group && a == "--resume") {
-        opts.resume = true;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-std::string
-sweep_flags_help(unsigned accept)
-{
-    std::string out;
-    if ((accept & kJobsFlag) != 0) {
-        out += "  --jobs N                  concurrent points (default: one "
-               "per core;\n"
-               "                            1 = serial; output is identical "
-               "for every N)\n";
-    }
-    if ((accept & kIsolateFlags) != 0) {
-        out += "  --isolate                 run every point in a supervised\n"
-               "                            catnap_sim worker subprocess: "
-               "crashes, hangs\n"
-               "                            and bad exits are classified, "
-               "retried, then\n"
-               "                            quarantined (DESIGN.md §15)\n"
-               "  --worker PATH             worker executable (default: "
-               "catnap_sim next\n"
-               "                            to this binary)\n"
-               "  --scratch DIR             spec/result exchange directory\n"
-               "  --point-timeout MS        per-attempt wall budget; hung "
-               "workers are\n"
-               "                            SIGKILLed (0 = unlimited)\n"
-               "  --point-retries N         extra attempts before quarantine "
-               "(default 2)\n";
-    }
-    if ((accept & kJournalFlags) != 0) {
-        out += "  --journal FILE            append every finished point to a "
-               "CRC-checked\n"
-               "                            journal\n"
-               "  --resume                  replay the journal's intact "
-               "records, run only\n"
-               "                            missing points (needs "
-               "--journal)\n";
-    }
-    return out;
+    std::fprintf(stderr, "%s: %s (try --help)\n", prog(), why.c_str());
+    std::exit(kExitUsage);
 }
 
 void
-check_sweep_options(const SweepOptions &opts)
+parse_command_line(int argc, char **argv, const CommandLine &cli)
 {
-    const SweepOptions defaults;
-    const bool worker_flags =
-        !opts.worker.empty() || !opts.scratch.empty() ||
-        opts.point_timeout_ms != defaults.point_timeout_ms ||
-        opts.point_retries != defaults.point_retries;
-    const char *why = nullptr;
-    if (opts.resume && opts.journal.empty()) {
-        why = "--resume requires --journal FILE";
-    } else if (worker_flags && !opts.isolate) {
-        why = "--worker, --scratch, --point-timeout and --point-retries "
-              "require --isolate";
+    std::vector<const Flag *> given;
+    for (int i = 1; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a == "--help" || a == "-h") {
+            std::fputs(help_text(cli).c_str(), stdout);
+            std::exit(0);
+        }
+        const Flag *flag = nullptr;
+        for (const Flag &f : cli.flags)
+            if (f.name == a)
+                flag = &f;
+        if (flag == nullptr)
+            die_usage("unknown option '" + a + "'");
+        if (!flag->value.empty() && i + 1 >= argc)
+            die_usage("missing value for " + a);
+        flag->set(a, flag->value.empty() ? "" : argv[++i]);
+        given.push_back(flag);
     }
-    if (why != nullptr) {
-        std::fprintf(stderr, "%s: %s\n", prog(), why);
-        std::exit(kExitUsage);
+    const std::size_t kind = cli.kind_of ? cli.kind_of() : 0;
+    for (const Flag *flag : given) {
+        if (cli.kind_of && ((flag->kinds >> kind) & 1u) == 0)
+            die_usage(flag->name + " does not apply to a " +
+                      cli.kinds[kind]);
+        bool partnered = flag->needs.empty();
+        for (const Flag *other : given)
+            for (const std::string &need : flag->needs)
+                partnered = partnered || other->name == need;
+        if (!partnered)
+            die_usage(flag->name + " requires " + join(flag->needs, " or "));
     }
+}
+
+std::vector<Flag>
+sweep_flags(SweepOptions &opts, unsigned accept, unsigned kinds)
+{
+    const std::vector<std::string> isolate = {"--isolate"};
+    std::vector<Flag> flags;
+    if ((accept & kJobsFlag) != 0)
+        flags.push_back({"--jobs", "N", "concurrent points (default: one "
+                         "per core);\noutput is identical for every N",
+                         store_int(opts.jobs, 0, 4096), kinds});
+    if ((accept & kIsolateFlags) != 0)
+        flags.insert(flags.end(), {
+            {"--isolate", "", "run every point in a supervised worker\n"
+             "subprocess (DESIGN.md §15)", store_bool(opts.isolate, true),
+             kinds},
+            {"--worker", "PATH", "worker (default: catnap_sim beside this)",
+             store_text(opts.worker), kinds, isolate},
+            {"--scratch", "DIR", "spec/result exchange directory",
+             store_text(opts.scratch), kinds, isolate},
+            {"--point-timeout", "MS", "per-attempt wall budget (0 = none)",
+             store_uint(opts.point_timeout_ms, 86400000ull), kinds, isolate},
+            {"--point-retries", "N",
+             "extra attempts before quarantine (default 2)",
+             store_int(opts.point_retries, 0, 100), kinds, isolate}});
+    if ((accept & kJournalFlags) != 0)
+        flags.insert(flags.end(), {
+            {"--journal", "FILE", "keep every finished point in this file",
+             store_text(opts.journal), kinds},
+            {"--resume", "", "replay the journal, run only missing points",
+             store_bool(opts.resume, true), kinds, {"--journal"}}});
+    return flags;
+}
+
+Flag
+csv_flag(std::string &path, unsigned kinds)
+{
+    return {"--csv", "FILE", "save the main sweep as CSV", store_text(path),
+            kinds};
 }
 
 std::string

@@ -1,22 +1,20 @@
 /**
  * @file
- * The one sweep-execution interface (DESIGN.md §12): the options every
- * sweeping binary shares, their strict command-line parser and
- * exclusion rules, the one miss executor, and run_sweep(), which
- * executes ordered RunItems on one of two backends and reports where
- * every point came from:
+ * The one command-line parser and the one sweep-execution interface
+ * (DESIGN.md §12). Every binary declares each flag once, as a Flag of
+ * its CommandLine, and parses argv with parse_command_line(); the sweep
+ * flags and --csv are entries the sweeping binaries share, so a flag
+ * means the same thing, fails the same way and exits with the same
+ * code in every binary. run_sweep() executes ordered RunItems on one of
+ * two backends and reports where every point came from:
  *
  *   local    the in-process thread pool (exec/sweep_runner.h)
  *   isolate  supervised catnap_sim worker subprocesses with retry and
  *            quarantine (exec/proc_runner.h)
  *
  * On either backend, --journal keeps finished points in an
- * exec/result_cache.h file and --resume replays them.
- *
- * catnap_sim --loads and the bench harnesses all parse their sweep
- * flags here, so a flag means the same thing, fails the same way and
- * exits with the same code in every binary. Every backend returns
- * results in item order, bit-identical to the serial run.
+ * exec/result_cache.h file and --resume replays them. Every backend
+ * returns results in item order, bit-identical to the serial run.
  *
  * Exit codes shared by every binary:
  *   1 runtime or supervisor fault   2 usage error
@@ -29,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/sweep_runner.h"
@@ -37,7 +36,7 @@
 namespace catnap {
 
 constexpr int kExitRuntime = 1;    ///< simulation, supervisor or I/O fault
-constexpr int kExitUsage = 2;      ///< unknown option or malformed CLI
+constexpr int kExitUsage = 2;      ///< unknown, unusable or malformed flag
 constexpr int kExitBadValue = 3;   ///< syntactically valid flag, bad value
 constexpr int kExitQuarantine = 4; ///< sweep left quarantined point(s)
 
@@ -76,23 +75,10 @@ struct SweepOptions
     int point_retries = 2;
 };
 
-/** Flag groups a binary accepts (bitmask for parse_sweep_flag()). */
-enum SweepFlags : unsigned {
-    kJobsFlag = 1u << 0,     ///< --jobs
-    kIsolateFlags = 1u << 1, ///< --isolate --worker --scratch
-                             ///< --point-timeout --point-retries
-    kJournalFlags = 1u << 2, ///< --journal --resume
-    kAllSweepFlags = kJobsFlag | kIsolateFlags | kJournalFlags,
-};
-
 /** Rejects a flag value with a precise reason and exits kExitBadValue,
  * so scripts can tell "bad config" from "bad CLI" and "sim died". */
 [[noreturn]] void die_value(const char *flag, const std::string &value,
                             const std::string &why);
-
-/** Returns argv[++i], or exits kExitUsage when the flag at argv[i] has
- * no value after it. */
-const char *need_value(int argc, char **argv, int &i);
 
 /** Strict integer parse: whole string, in [lo, hi]. "4x" and "99999"
  * for a small range both exit kExitBadValue instead of truncating. */
@@ -109,23 +95,151 @@ unsigned long long parse_uint(const char *flag, const std::string &value,
 double parse_real(const char *flag, const std::string &value, double lo,
                   double hi);
 
-/**
- * Consumes argv[i] (and its value) into @p opts when it is a sweep flag
- * of a group in @p accept; returns false otherwise. A bad value exits
- * kExitBadValue, a missing one kExitUsage.
- */
-bool parse_sweep_flag(int argc, char **argv, int &i, unsigned accept,
-                      SweepOptions &opts);
+/** The names a flag's value may take, each with the value it selects. */
+template <typename T>
+using Names = std::vector<std::pair<std::string, T>>;
 
-/** --help lines for the flag groups in @p accept. */
-std::string sweep_flags_help(unsigned accept);
+/** "a|b|c": the value form --help shows for @p names. */
+template <typename T>
+std::string
+names_of(const Names<T> &names)
+{
+    std::string out;
+    for (const auto &n : names)
+        out += (out.empty() ? "" : "|") + n.first;
+    return out;
+}
+
+/** Reports a malformed command line and exits kExitUsage. */
+[[noreturn]] void die_usage(const std::string &why);
+
+/** The value @p value names in @p names; an unknown name is a usage
+ * error that lists the known ones. */
+template <typename T>
+const T &
+parse_name(const char *flag, const std::string &value, const Names<T> &names)
+{
+    for (const auto &n : names)
+        if (n.first == value)
+            return n.second;
+    die_usage("unknown value '" + value + "' for " + flag + " (expected " +
+              names_of(names) + ")");
+}
+
+/** Applies one occurrence of a flag: called with the flag's name (for
+ * error messages) and its value, "" for a switch. */
+using FlagSetter =
+    std::function<void(const std::string &flag, const std::string &value)>;
+
+/** Every run kind (the default of Flag::kinds). */
+inline constexpr unsigned kAnyRun = ~0u;
+
+/** One command-line flag: the only place a binary declares it. */
+struct Flag
+{
+    std::string name;  ///< "--jobs"
+    std::string value; ///< value form --help shows ("N"); "" = a switch
+    std::string help;  ///< --help text; each '\n' starts an indented line
+    FlagSetter set;    ///< runs once per occurrence, in argv order
+    /** Run kinds the flag applies to: bit k is CommandLine::kinds[k]. */
+    unsigned kinds = kAnyRun;
+    /** Flags of which at least one must be given with this one. */
+    std::vector<std::string> needs = {};
+};
+
+/** A binary's whole command line. */
+struct CommandLine
+{
+    std::string about;       ///< printed above the flags by --help
+    std::vector<Flag> flags; ///< in --help order
+    /** Names of the binary's run kinds; empty when it has one kind. */
+    std::vector<std::string> kinds = {};
+    /** Once every setter has run: the index in @c kinds of the run the
+     * command line asks for. */
+    std::function<std::size_t()> kind_of = {};
+};
 
 /**
- * The exclusion rules, checked once after parsing; a violation exits
- * kExitUsage. The worker flags need --isolate and --resume needs
- * --journal.
+ * Runs each flag's setter in argv order (a bad value exits
+ * kExitBadValue from it); --help prints the table and exits 0. Exits
+ * kExitUsage, naming the flag, on an unknown flag, a missing value, a
+ * flag outside the run kind kind_of() names, or a flag without any of
+ * the flags it needs.
  */
-void check_sweep_options(const SweepOptions &opts);
+void parse_command_line(int argc, char **argv, const CommandLine &cli);
+
+// Setters that parse a flag's value strictly into @p dst (a bad value
+// exits kExitBadValue): a whole number in [lo, hi], a non-negative one
+// up to @p hi, a finite real in [lo, hi], the text as given, a
+// switch's fixed @p value, or the value a name in @p names selects.
+
+template <typename T>
+FlagSetter
+store_int(T &dst, long long lo, long long hi)
+{
+    return [&dst, lo, hi](const std::string &flag, const std::string &v) {
+        dst = static_cast<T>(parse_int(flag.c_str(), v, lo, hi));
+    };
+}
+
+template <typename T>
+FlagSetter
+store_uint(T &dst, unsigned long long hi = ~0ull)
+{
+    return [&dst, hi](const std::string &flag, const std::string &v) {
+        dst = static_cast<T>(parse_uint(flag.c_str(), v, hi));
+    };
+}
+
+inline FlagSetter
+store_real(double &dst, double lo, double hi)
+{
+    return [&dst, lo, hi](const std::string &flag, const std::string &v) {
+        dst = parse_real(flag.c_str(), v, lo, hi);
+    };
+}
+
+inline FlagSetter
+store_text(std::string &dst)
+{
+    return [&dst](const std::string &, const std::string &v) { dst = v; };
+}
+
+inline FlagSetter
+store_bool(bool &dst, bool value)
+{
+    return [&dst, value](const std::string &, const std::string &) {
+        dst = value;
+    };
+}
+
+template <typename T>
+FlagSetter
+store_name(T &dst, const Names<T> &names)
+{
+    return [&dst, names](const std::string &flag, const std::string &v) {
+        dst = parse_name(flag.c_str(), v, names);
+    };
+}
+
+/** Flag groups of sweep_flags() (bitmask). */
+enum SweepFlags : unsigned {
+    kJobsFlag = 1u << 0,     ///< --jobs
+    kIsolateFlags = 1u << 1, ///< --isolate --worker --scratch
+                             ///< --point-timeout --point-retries
+    kJournalFlags = 1u << 2, ///< --journal --resume
+    kAllSweepFlags = kJobsFlag | kIsolateFlags | kJournalFlags,
+};
+
+/** The entries of the sweep flags in the groups @p accept selects,
+ * storing into @p opts and applying to the run @p kinds. The worker
+ * flags need --isolate and --resume needs --journal. */
+std::vector<Flag> sweep_flags(SweepOptions &opts,
+                              unsigned accept = kAllSweepFlags,
+                              unsigned kinds = kAnyRun);
+
+/** The --csv FILE entry of a binary that saves its main sweep. */
+Flag csv_flag(std::string &path, unsigned kinds = kAnyRun);
 
 /** The default worker: catnap_sim next to the running binary, else in
  * ../tools/ (the build-tree layout of the bench harnesses). */

@@ -1,8 +1,6 @@
 #include "exec/sweep_runner.h"
 
 #include <algorithm>
-#include <set>
-#include <stdexcept>
 
 namespace catnap {
 
@@ -21,25 +19,6 @@ SweepRunner::run_jobs(std::size_t n,
 std::vector<SyntheticResult>
 run_batch(const std::vector<RunItem> &items, const ExecOptions &opts)
 {
-    // Per-run observers must be exclusive: one sink shared by two
-    // concurrent runs would interleave their event streams in host
-    // scheduling order, silently breaking trace determinism.
-    std::set<const void *> sinks, snapshots;
-    for (const RunItem &item : items) {
-        if (item.params.sink != nullptr &&
-            !sinks.insert(item.params.sink).second) {
-            throw std::invalid_argument(
-                "run_batch: two items share an EventSink; give each "
-                "item its own recorder and merge in item order");
-        }
-        if (item.params.snapshots != nullptr &&
-            !snapshots.insert(item.params.snapshots).second) {
-            throw std::invalid_argument(
-                "run_batch: two items share a SnapshotRecorder; give "
-                "each item its own recorder and merge in item order");
-        }
-    }
-
     SweepRunner runner(opts);
     return runner.map<SyntheticResult>(items.size(), [&items](
                                                          std::size_t i) {

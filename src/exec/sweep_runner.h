@@ -10,10 +10,9 @@
  * calling thread's stack. No simulation state is shared between points,
  * so points may execute on any worker in any order and still produce
  * the exact bytes the serial loop produces; the runner's only job is to
- * deliver result i into slot i. The sole sharing hazard is
- * observability: attaching one EventSink or SnapshotRecorder to two
- * items would interleave their streams nondeterministically, so
- * run_batch() rejects shared non-null observer pointers up front.
+ * deliver result i into slot i. A RunItem is plain data and carries no
+ * observer: tracing and snapshots attach to one SyntheticRun
+ * (sim/simulator.h), never to a batch.
  */
 #ifndef CATNAP_EXEC_SWEEP_RUNNER_H
 #define CATNAP_EXEC_SWEEP_RUNNER_H
@@ -83,9 +82,7 @@ class SweepRunner
 /**
  * Runs every item of @p items (each with its own config, traffic, and
  * seeded RunParams) and returns one SyntheticResult per item, in item
- * order, bit-identical to running them serially. Throws
- * std::invalid_argument when two items share a non-null EventSink or
- * SnapshotRecorder (see @file).
+ * order, bit-identical to running them serially.
  */
 std::vector<SyntheticResult> run_batch(const std::vector<RunItem> &items,
                                        const ExecOptions &opts = {});

@@ -25,8 +25,6 @@ SyntheticRun::SyntheticRun(const MultiNocConfig &net_cfg,
 {
     cfg_.seed = params_.seed;
     net_ = std::make_unique<MultiNoc>(cfg_);
-    if (params_.sink)
-        net_->set_event_sink(params_.sink);
 
     gen_ = std::make_unique<SyntheticTraffic>(
         net_.get(), traffic_, params_.seed ^ 0xabcdef12345ULL);
@@ -43,8 +41,8 @@ SyntheticRun::step()
 {
     gen_->step(net_->now());
     net_->tick();
-    if (params_.snapshots)
-        params_.snapshots->observe(*net_, net_->now() - 1);
+    if (snapshots_)
+        snapshots_->observe(*net_, net_->now() - 1);
 }
 
 void
@@ -108,8 +106,8 @@ SyntheticRun::finish()
     const Cycle drain_end = net_->now() + params_.drain_max;
     while (net_->now() < drain_end && !net_->quiescent()) {
         net_->tick();
-        if (params_.snapshots)
-            params_.snapshots->observe(*net_, net_->now() - 1);
+        if (snapshots_)
+            snapshots_->observe(*net_, net_->now() - 1);
     }
     res.drained = net_->quiescent();
     if (!res.drained) {

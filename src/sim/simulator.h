@@ -35,15 +35,6 @@ struct RunParams
     bool voltage_scaling = true;
 
     std::uint64_t seed = 12345;
-
-    // Observability hooks (not owned; null = disabled, zero overhead).
-
-    /** Trace-event recorder attached to the network for the whole run
-     * (warm-up, measurement, and drain). */
-    EventSink *sink = nullptr;
-
-    /** Epoch-snapshot recorder, observed once per simulated cycle. */
-    SnapshotRecorder *snapshots = nullptr;
 };
 
 /** Results of one synthetic run. */
@@ -132,6 +123,14 @@ class SyntheticRun
         autosave_every_ = every;
     }
 
+    /** Records the run's trace events into @p sink (not owned; null =
+     * none). Set before run_warmup() to cover the whole run. */
+    void set_event_sink(EventSink *sink) { net_->set_event_sink(sink); }
+
+    /** Has @p snapshots observe every simulated cycle, drain included
+     * (not owned; null = none). Set before run_warmup(). */
+    void set_snapshots(SnapshotRecorder *snapshots) { snapshots_ = snapshots; }
+
     MultiNoc &net() { return *net_; }
     const MultiNoc &net() const { return *net_; }
     Cycle now() const { return net_->now(); }
@@ -166,6 +165,7 @@ class SyntheticRun
     std::uint64_t ejected0_ = 0;
     std::string autosave_path_;
     Cycle autosave_every_ = 0;
+    SnapshotRecorder *snapshots_ = nullptr;
 };
 
 /**

@@ -33,7 +33,6 @@
 #include "exec/sweep.h"
 #include "exec/sweep_runner.h"
 #include "exec/thread_pool.h"
-#include "obs/trace_buffer.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
 
@@ -301,27 +300,6 @@ TEST(ExecSweep, RunBatchMixedConfigsMatchesSerialRuns)
         serial.push_back(run_synthetic(item.cfg, item.traffic,
                                        item.params));
     EXPECT_EQ(to_csv(serial), to_csv(batch));
-}
-
-TEST(ExecSweep, SharedObserverPointersAreRejected)
-{
-    const RunParams base = quick_params();
-    SyntheticConfig traffic;
-    traffic.load = 0.02;
-
-    EventTrace shared_trace(64);
-    RunParams with_sink = base;
-    with_sink.sink = &shared_trace;
-
-    std::vector<RunItem> items;
-    items.push_back(RunItem{multi_noc_config(2), traffic, with_sink});
-    items.push_back(RunItem{multi_noc_config(2), traffic, with_sink});
-    EXPECT_THROW(run_batch(items, ExecOptions{}), std::invalid_argument);
-
-    // Distinct sinks are fine.
-    EventTrace other_trace(64);
-    items[1].params.sink = &other_trace;
-    EXPECT_NO_THROW(run_batch(items, ExecOptions{}));
 }
 
 TEST(ExecSweep, ExceptionMidSweepPropagatesAfterBatchDrains)

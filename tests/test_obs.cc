@@ -232,8 +232,10 @@ record_fixed_seed_run(int subnets, double load, RunParams *out_params)
     rp.warmup = 200;
     rp.measure = 1000;
     rp.seed = 99;
-    rp.sink = &trace;
-    run_synthetic(cfg, traffic, rp);
+    SyntheticRun run(cfg, traffic, rp);
+    run.set_event_sink(&trace);
+    run.run_warmup();
+    run.finish();
     if (out_params)
         *out_params = rp;
     return trace;
@@ -478,9 +480,11 @@ TEST(Simulator, TracingDoesNotChangeResults)
 
     EventTrace trace;
     SnapshotRecorder rec(100);
-    rp.sink = &trace;
-    rp.snapshots = &rec;
-    const SyntheticResult traced = run_synthetic(cfg, traffic, rp);
+    SyntheticRun run(cfg, traffic, rp);
+    run.set_event_sink(&trace);
+    run.set_snapshots(&rec);
+    run.run_warmup();
+    const SyntheticResult traced = run.finish();
 
     EXPECT_EQ(plain.measured_packets, traced.measured_packets);
     EXPECT_DOUBLE_EQ(plain.avg_latency, traced.avg_latency);

@@ -81,7 +81,8 @@ journal_path(const std::string &tag)
     return path;
 }
 
-/** Parses @p args (after a program name) as sweep flags. */
+/** Parses @p args (after a program name) against a table of the sweep
+ * flags in @p accept. */
 SweepOptions
 parse(std::vector<std::string> args, unsigned accept = kAllSweepFlags)
 {
@@ -90,16 +91,13 @@ parse(std::vector<std::string> args, unsigned accept = kAllSweepFlags)
     for (std::string &a : args)
         argv.push_back(a.data());
     SweepOptions opts;
-    const int argc = static_cast<int>(argv.size());
-    for (int i = 1; i < argc; ++i) {
-        if (!parse_sweep_flag(argc, argv.data(), i, accept, opts))
-            ADD_FAILURE() << "not a sweep flag: " << argv[i];
-    }
+    parse_command_line(static_cast<int>(argv.size()), argv.data(),
+                       {"usage: prog", sweep_flags(opts, accept)});
     return opts;
 }
 
 // ---------------------------------------------------------------------
-// Flags and exclusion rules
+// Flags and the flags they need
 // ---------------------------------------------------------------------
 
 TEST(SweepCli, ParsesEveryFlagGroup)
@@ -120,12 +118,12 @@ TEST(SweepCli, ParsesEveryFlagGroup)
 
 TEST(SweepCli, GroupsOutsideTheAcceptMaskAreNotConsumed)
 {
-    std::string flag = "--isolate";
-    char *argv[] = {flag.data(), flag.data()};
-    int i = 1;
     SweepOptions opts;
-    EXPECT_FALSE(parse_sweep_flag(2, argv, i, kJobsFlag, opts));
-    EXPECT_FALSE(opts.isolate);
+    const std::vector<Flag> table = sweep_flags(opts, kJobsFlag);
+    ASSERT_EQ(table.size(), 1u);
+    EXPECT_EQ(table[0].name, "--jobs");
+    EXPECT_EXIT(parse({"--isolate"}, kJobsFlag),
+                ::testing::ExitedWithCode(2), "unknown option '--isolate'");
 }
 
 TEST(SweepCliDeathTest, BadValuesExitThree)
@@ -144,22 +142,22 @@ TEST(SweepCliDeathTest, BadValuesExitThree)
 
 TEST(SweepCliDeathTest, ExclusionRulesExitTwo)
 {
-    EXPECT_EXIT(check_sweep_options(parse({"--worker", "w"})),
-                ::testing::ExitedWithCode(2), "require --isolate");
-    EXPECT_EXIT(check_sweep_options(parse({"--point-retries", "0"})),
-                ::testing::ExitedWithCode(2), "require --isolate");
-    EXPECT_EXIT(check_sweep_options(parse({"--resume"})),
-                ::testing::ExitedWithCode(2), "--resume requires --journal");
-    EXPECT_EXIT(check_sweep_options(parse({"--isolate", "--resume"})),
+    EXPECT_EXIT(parse({"--worker", "w"}), ::testing::ExitedWithCode(2),
+                "--worker requires --isolate");
+    EXPECT_EXIT(parse({"--point-retries", "0"}),
+                ::testing::ExitedWithCode(2),
+                "--point-retries requires --isolate");
+    EXPECT_EXIT(parse({"--resume"}), ::testing::ExitedWithCode(2),
+                "--resume requires --journal");
+    EXPECT_EXIT(parse({"--isolate", "--resume"}),
                 ::testing::ExitedWithCode(2), "--resume requires --journal");
 }
 
 TEST(SweepCli, ValidCombinationsPassTheRules)
 {
-    check_sweep_options(parse({"--jobs", "2"}));
-    check_sweep_options(
-        parse({"--isolate", "--journal", "j", "--resume", "--scratch", "s"}));
-    check_sweep_options(parse({"--journal", "j", "--resume", "--jobs", "4"}));
+    parse({"--jobs", "2"});
+    parse({"--isolate", "--journal", "j", "--resume", "--scratch", "s"});
+    parse({"--journal", "j", "--resume", "--jobs", "4"});
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,6 @@
  */
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -30,207 +29,19 @@ using namespace catnap;
 
 namespace {
 
-[[noreturn]] void
-usage(int code)
-{
-    std::printf(
-        "catnap_sim -- drive one Catnap Multi-NoC experiment\n\n"
-        "  --mode synthetic|app      experiment type (default synthetic)\n"
-        "  --subnets N               number of subnets (default 4)\n"
-        "  --width BITS              aggregate datapath bits (default 512)\n"
-        "  --selector rr|random|catnap|class (default catnap)\n"
-        "  --gating off|idle|fineport|catnap  power gating (catnap)\n"
-        "  --metric bfm|bfa|ir|iqocc|delay  congestion metric (bfm)\n"
-        "  --threshold X             congestion threshold (metric default)\n"
-        "  --no-rcs                  disable the regional OR network\n"
-        "  --mesh W                  mesh width == height (default 8)\n"
-        "synthetic mode:\n"
-        "  --pattern uniform|transpose|bitcomp|bitrev|shuffle|hotspot|"
-        "neighbor\n"
-        "  --load X                  packets/node/cycle (default 0.1)\n"
-        "  --packet-bits N           packet size (default 512)\n"
-        "app mode:\n"
-        "  --workload light|medium-light|medium-heavy|heavy\n"
-        "common:\n"
-        "  --warmup N --measure N    phase lengths (cycles)\n"
-        "  --seed N                  RNG seed\n"
-        "  --no-vscale               run everything at 0.750 V\n"
-        "checkpointing (synthetic single-run mode; DESIGN.md §13):\n"
-        "  --save-ckpt FILE          write a checkpoint at the end of\n"
-        "                            warm-up (or every --ckpt-every N\n"
-        "                            cycles, overwriting FILE)\n"
-        "  --load-ckpt FILE          resume from FILE and run to\n"
-        "                            completion; all other flags must\n"
-        "                            match the saving run (hash-checked)\n"
-        "  --ckpt-every N            periodic save interval in cycles\n"
-        "observability (synthetic single-run mode):\n"
-        "  --trace-out FILE          write Chrome trace-event JSON\n"
-        "                            (open in Perfetto / chrome://tracing)\n"
-        "  --trace-jsonl FILE        write the raw event stream as JSONL\n"
-        "  --trace-events N          event ring-buffer capacity\n"
-        "                            (default 1048576; oldest dropped)\n"
-        "  --snapshot-every N        epoch snapshot interval, cycles\n"
-        "  --snapshot-out FILE       snapshot CSV (default snapshots.csv)\n"
-        "fault injection (repeatable; empty plan = bit-identical "
-        "baseline):\n"
-        "  --fault-kill-router C:S:N     hard router death at cycle C,\n"
-        "                                subnet S, node N\n"
-        "  --fault-kill-link C:S:N:DIR   dead output link (DIR = north|\n"
-        "                                east|south|west|local)\n"
-        "  --fault-wake-stuck C:S:N      wake sequence hangs until the\n"
-        "                                retry path escalates\n"
-        "  --fault-lose-wakes C:S:N:DUR  swallow wake-ups for DUR cycles\n"
-        "  --fault-delay-wakes C:S:N:DUR:DELAY\n"
-        "                                defer wake-ups by DELAY cycles\n"
-        "                                for a DUR-cycle window\n"
-        "  --fault-rcs-glitch C:S:NODE   flip the latched RCS bit of the\n"
-        "                                region containing NODE once\n"
-        "  --fault-wake-loss-prob P      per-wake loss probability\n"
-        "  --fault-rcs-glitch-prob P     per-(subnet,region) glitch\n"
-        "                                probability per RCS latch\n"
-        "  --fault-seed N                fault RNG stream seed\n"
-        "  --fault-wake-timeout N        cycles before a wake is retried\n"
-        "  --fault-packet-timeout N      end-to-end deadline per attempt\n"
-        "sweeps (synthetic mode; DESIGN.md §12):\n"
-        "  --loads A,B,C             sweep offered loads instead of one\n"
-        "                            --load point\n"
-        "  --csv FILE                save sweep results as CSV\n"
-        "%s"
-        "  --worker-spec F --worker-out F\n"
-        "                            (internal) worker mode: run the one\n"
-        "                            point sealed in F, write the result\n"
-        "exit codes:\n"
-        "  0 success                 1 simulation/runtime error\n"
-        "  2 usage error             3 invalid configuration value\n"
-        "  4 sweep finished with quarantined point(s)\n",
-        sweep_flags_help(kAllSweepFlags).c_str());
-    std::exit(code);
-}
-
 /** An offered load: finite, strictly positive, sane upper bound. */
 double
-parse_load(const char *flag, const std::string &value)
+parse_load(const std::string &flag, const std::string &value)
 {
-    const double v = parse_real(flag, value, 0.0, 8.0);
+    const double v = parse_real(flag.c_str(), value, 0.0, 8.0);
     if (v <= 0.0)
-        die_value(flag, value, "offered load must be > 0");
+        die_value(flag.c_str(), value, "offered load must be > 0");
     return v;
-}
-
-SelectorKind
-parse_selector(const std::string &v)
-{
-    if (v == "rr") return SelectorKind::kRoundRobin;
-    if (v == "random") return SelectorKind::kRandom;
-    if (v == "catnap") return SelectorKind::kCatnap;
-    if (v == "class") return SelectorKind::kClassPartition;
-    std::fprintf(stderr, "unknown selector: %s\n", v.c_str());
-    usage(2);
-}
-
-GatingKind
-parse_gating(const std::string &v)
-{
-    if (v == "off") return GatingKind::kAlwaysOn;
-    if (v == "idle") return GatingKind::kIdle;
-    if (v == "fineport") return GatingKind::kFinePort;
-    if (v == "catnap") return GatingKind::kCatnap;
-    std::fprintf(stderr, "unknown gating: %s\n", v.c_str());
-    usage(2);
-}
-
-CongestionMetric
-parse_metric(const std::string &v)
-{
-    if (v == "bfm") return CongestionMetric::kBufferMax;
-    if (v == "bfa") return CongestionMetric::kBufferAvg;
-    if (v == "ir") return CongestionMetric::kInjectionRate;
-    if (v == "iqocc") return CongestionMetric::kInjQueueOcc;
-    if (v == "delay") return CongestionMetric::kBlockingDelay;
-    std::fprintf(stderr, "unknown metric: %s\n", v.c_str());
-    usage(2);
-}
-
-PatternKind
-parse_pattern(const std::string &v)
-{
-    if (v == "uniform") return PatternKind::kUniformRandom;
-    if (v == "transpose") return PatternKind::kTranspose;
-    if (v == "bitcomp") return PatternKind::kBitComplement;
-    if (v == "bitrev") return PatternKind::kBitReverse;
-    if (v == "shuffle") return PatternKind::kShuffle;
-    if (v == "hotspot") return PatternKind::kHotspot;
-    if (v == "neighbor") return PatternKind::kNeighbor;
-    std::fprintf(stderr, "unknown pattern: %s\n", v.c_str());
-    usage(2);
-}
-
-WorkloadMix
-parse_workload(const std::string &v)
-{
-    if (v == "light") return light_mix();
-    if (v == "medium-light") return medium_light_mix();
-    if (v == "medium-heavy") return medium_heavy_mix();
-    if (v == "heavy") return heavy_mix();
-    std::fprintf(stderr, "unknown workload: %s\n", v.c_str());
-    usage(2);
-}
-
-/**
- * Splits a colon-separated fault spec ("C:S:N[:...]") into exactly
- * @p want numeric fields; with @p tail, one extra trailing string field
- * is split off first (the link direction). Exits with usage on mismatch.
- * S and N must fit a 32-bit id; whether they name a subnet and a node
- * of the network is a cross-field check.
- */
-std::vector<long long>
-parse_fields(const char *flag, const std::string &value, std::size_t want,
-             std::string *tail = nullptr)
-{
-    std::vector<std::string> fields;
-    std::size_t pos = 0;
-    for (;;) {
-        const std::size_t next = value.find(':', pos);
-        if (next == std::string::npos) {
-            fields.push_back(value.substr(pos));
-            break;
-        }
-        fields.push_back(value.substr(pos, next - pos));
-        pos = next + 1;
-    }
-    if (fields.size() != want + (tail != nullptr ? 1 : 0)) {
-        die_value(flag, value,
-                  "expected " +
-                      std::to_string(want + (tail != nullptr ? 1 : 0)) +
-                      " ':'-separated fields, got " +
-                      std::to_string(fields.size()));
-    }
-    if (tail != nullptr) {
-        *tail = fields.back();
-        fields.pop_back();
-    }
-    std::vector<long long> out;
-    for (std::size_t k = 0; k < fields.size(); ++k)
-        out.push_back(parse_int(flag, fields[k], 0,
-                                k == 1 || k == 2 ? INT32_MAX : 1ll << 62));
-    return out;
-}
-
-Direction
-parse_direction(const std::string &v)
-{
-    if (v == "north") return Direction::kNorth;
-    if (v == "east") return Direction::kEast;
-    if (v == "south") return Direction::kSouth;
-    if (v == "west") return Direction::kWest;
-    if (v == "local") return Direction::kLocal;
-    std::fprintf(stderr, "unknown link direction: %s\n", v.c_str());
-    usage(2);
 }
 
 /** Parses a comma-separated load list ("0.01,0.05,0.1"). */
 std::vector<double>
-parse_loads(const char *flag, const std::string &value)
+parse_loads(const std::string &flag, const std::string &value)
 {
     std::vector<double> loads;
     std::size_t pos = 0;
@@ -238,12 +49,106 @@ parse_loads(const char *flag, const std::string &value)
         std::size_t next = value.find(',', pos);
         if (next == std::string::npos)
             next = value.size();
-        const std::string field = value.substr(pos, next - pos);
-        loads.push_back(parse_load(flag, field));
+        loads.push_back(parse_load(flag, value.substr(pos, next - pos)));
         pos = next + 1;
     }
     return loads;
 }
+
+const Names<bool> kModes = {{"synthetic", false}, {"app", true}};
+
+const Names<SelectorKind> kSelectors = {
+    {"rr", SelectorKind::kRoundRobin}, {"random", SelectorKind::kRandom},
+    {"catnap", SelectorKind::kCatnap},
+    {"class", SelectorKind::kClassPartition}};
+
+const Names<GatingKind> kGatings = {
+    {"off", GatingKind::kAlwaysOn}, {"idle", GatingKind::kIdle},
+    {"fineport", GatingKind::kFinePort}, {"catnap", GatingKind::kCatnap}};
+
+const Names<CongestionMetric> kMetrics = {
+    {"bfm", CongestionMetric::kBufferMax},
+    {"bfa", CongestionMetric::kBufferAvg},
+    {"ir", CongestionMetric::kInjectionRate},
+    {"iqocc", CongestionMetric::kInjQueueOcc},
+    {"delay", CongestionMetric::kBlockingDelay}};
+
+const Names<PatternKind> kPatterns = {
+    {"uniform", PatternKind::kUniformRandom},
+    {"transpose", PatternKind::kTranspose},
+    {"bitcomp", PatternKind::kBitComplement},
+    {"bitrev", PatternKind::kBitReverse}, {"shuffle", PatternKind::kShuffle},
+    {"hotspot", PatternKind::kHotspot}, {"neighbor", PatternKind::kNeighbor}};
+
+/** A Table 3 mix builder, given the core count. */
+using MixBuilder = WorkloadMix (*)(int);
+
+const Names<MixBuilder> kWorkloads = {{"light", light_mix},
+                                      {"medium-light", medium_light_mix},
+                                      {"medium-heavy", medium_heavy_mix},
+                                      {"heavy", heavy_mix}};
+
+/** Every Table 3 mix runs this many applications, in equal shares. */
+constexpr int kMixApps = 8;
+
+const Names<Direction> kDirections = {
+    {"north", Direction::kNorth}, {"east", Direction::kEast},
+    {"south", Direction::kSouth}, {"west", Direction::kWest},
+    {"local", Direction::kLocal}};
+
+/**
+ * Parses a @p kind fault-event spec: "C:S:N", then DUR for lost wakes,
+ * DUR:DELAY for delayed wakes, DIR for a dead link. A wrong field count
+ * or a bad number exits kExitBadValue, an unknown DIR kExitUsage. S and
+ * N must fit a 32-bit id; whether they name a subnet and a node of the
+ * network is a cross-field check.
+ */
+FaultEvent
+parse_fault_event(const std::string &flag, const std::string &value,
+                  FaultKind kind)
+{
+    std::vector<std::string> fields;
+    for (std::size_t pos = 0;;) {
+        const std::size_t next = value.find(':', pos);
+        fields.push_back(value.substr(pos, next - pos));
+        if (next == std::string::npos)
+            break;
+        pos = next + 1;
+    }
+    std::size_t want = kind == FaultKind::kDelayedWake ? 5 : 3;
+    if (kind == FaultKind::kLostWake || kind == FaultKind::kLinkFailure)
+        want = 4;
+    if (fields.size() != want) {
+        die_value(flag.c_str(), value,
+                  "expected " + std::to_string(want) +
+                      " ':'-separated fields, got " +
+                      std::to_string(fields.size()));
+    }
+    const auto number = [&](std::size_t k, long long hi) {
+        return parse_int(flag.c_str(), fields[k], 0, hi);
+    };
+    FaultEvent ev;
+    ev.kind = kind;
+    ev.at = static_cast<Cycle>(number(0, 1ll << 62));
+    ev.subnet = static_cast<SubnetId>(number(1, INT32_MAX));
+    ev.node = static_cast<NodeId>(number(2, INT32_MAX));
+    if (kind == FaultKind::kLinkFailure)
+        ev.port = parse_name(flag.c_str(), fields[3], kDirections);
+    else if (want > 3)
+        ev.duration = static_cast<Cycle>(number(3, 1ll << 62));
+    if (want > 4)
+        ev.delay = static_cast<Cycle>(number(4, 1ll << 62));
+    return ev;
+}
+
+// Run kinds: CommandLine::kinds order, and the bits of Flag::kinds.
+enum RunKind : std::size_t { kSingle, kSweep, kApp, kWorker };
+constexpr unsigned kSingleRun = 1u << kSingle;
+constexpr unsigned kLoadSweep = 1u << kSweep;
+constexpr unsigned kAppRun = 1u << kApp;
+constexpr unsigned kWorkerRun = 1u << kWorker;
+constexpr unsigned kSynthetic = kSingleRun | kLoadSweep;
+constexpr unsigned kNetwork = kSynthetic | kAppRun;
 
 /**
  * Worker mode (DESIGN.md §15): run exactly one sweep point from a
@@ -283,8 +188,8 @@ print_power(const PowerBreakdown &p, const PowerBreakdown &stat)
 int
 main(int argc, char **argv)
 {
-    std::string mode = "synthetic";
-    std::string workload = "light";
+    bool app = false;
+    MixBuilder workload = light_mix;
     MultiNocConfig cfg = multi_noc_config(4, GatingKind::kCatnap);
     SyntheticConfig traffic;
     traffic.load = 0.1;
@@ -306,160 +211,150 @@ main(int argc, char **argv)
     std::string worker_out;
     // Each fault-event flag and its spec, in cfg.fault.events order.
     std::vector<std::pair<std::string, std::string>> fault_specs;
-    const auto fault_fields = [&](const std::string &flag, int &i,
-                                  std::size_t want,
-                                  std::string *tail = nullptr) {
-        fault_specs.emplace_back(flag, need_value(argc, argv, i));
-        return parse_fields(flag.c_str(), fault_specs.back().second, want,
-                            tail);
+    const auto fault_event = [&](FaultKind kind) {
+        return [&, kind](const std::string &flag, const std::string &spec) {
+            fault_specs.emplace_back(flag, spec);
+            cfg.fault.events.push_back(parse_fault_event(flag, spec, kind));
+        };
     };
+    // --warmup, --measure and --seed set a synthetic and an app run alike.
+    const auto both = [](std::uint64_t &synthetic, std::uint64_t &app_run,
+                         unsigned long long hi) -> FlagSetter {
+        return [&synthetic, &app_run, hi](const std::string &flag,
+                                          const std::string &v) {
+            synthetic = app_run = parse_uint(flag.c_str(), v, hi);
+        };
+    };
+    constexpr unsigned long long kMaxCycles = 1000000000000ull;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (parse_sweep_flag(argc, argv, i, kAllSweepFlags, sweep)) continue;
-        if (a == "--help" || a == "-h") usage(0);
-        else if (a == "--mode") mode = need_value(argc, argv, i);
-        else if (a == "--subnets")
-            cfg.num_subnets = static_cast<int>(
-                parse_int(a.c_str(), need_value(argc, argv, i), 1, 16));
-        else if (a == "--width")
-            cfg.total_link_bits = static_cast<int>(parse_int(
-                a.c_str(), need_value(argc, argv, i), 1, 1 << 20));
-        else if (a == "--selector")
-            cfg.selector = parse_selector(need_value(argc, argv, i));
-        else if (a == "--gating")
-            cfg.gating = parse_gating(need_value(argc, argv, i));
-        else if (a == "--metric")
-            cfg.congestion.metric = parse_metric(need_value(argc, argv, i));
-        else if (a == "--threshold")
-            threshold = parse_real(a.c_str(), need_value(argc, argv, i),
-                                   0.0, 1e9);
-        else if (a == "--no-rcs") cfg.congestion.use_rcs = false;
-        else if (a == "--mesh") {
-            // Lower bound 2: a zero- or one-node "mesh" has no links to
-            // route over and every pattern degenerates.
-            const int w = static_cast<int>(
-                parse_int(a.c_str(), need_value(argc, argv, i), 2, 64));
-            cfg.mesh_width = cfg.mesh_height = w;
-            cfg.region_width = w >= 8 ? 4 : (w >= 4 ? 2 : 1);
-        } else if (a == "--pattern")
-            traffic.pattern = parse_pattern(need_value(argc, argv, i));
-        else if (a == "--load")
-            traffic.load = parse_load(a.c_str(), need_value(argc, argv, i));
-        else if (a == "--packet-bits")
-            traffic.packet_bits = static_cast<int>(parse_int(
-                a.c_str(), need_value(argc, argv, i), 1, 1 << 20));
-        else if (a == "--workload")
-            workload = need_value(argc, argv, i);
-        else if (a == "--warmup")
-            rp.warmup = ap.warmup = static_cast<Cycle>(parse_uint(
-                a.c_str(), need_value(argc, argv, i), 1000000000000ull));
-        else if (a == "--measure") {
-            rp.measure = ap.measure = static_cast<Cycle>(parse_uint(
-                a.c_str(), need_value(argc, argv, i), 1000000000000ull));
-            if (rp.measure == 0)
-                die_value(a.c_str(), "0",
-                          "measurement phase must be at least 1 cycle");
-        } else if (a == "--seed")
-            rp.seed = ap.seed =
-                parse_uint(a.c_str(), need_value(argc, argv, i));
-        else if (a == "--no-vscale")
-            rp.voltage_scaling = ap.voltage_scaling = false;
-        else if (a == "--loads")
-            loads = parse_loads(a.c_str(), need_value(argc, argv, i));
-        else if (a == "--csv")
-            csv_out = need_value(argc, argv, i);
-        else if (a == "--save-ckpt")
-            save_ckpt = need_value(argc, argv, i);
-        else if (a == "--load-ckpt")
-            load_ckpt = need_value(argc, argv, i);
-        else if (a == "--ckpt-every")
-            ckpt_every = static_cast<Cycle>(parse_uint(
-                a.c_str(), need_value(argc, argv, i), 1000000000000ull));
-        else if (a == "--trace-out")
-            trace_out = need_value(argc, argv, i);
-        else if (a == "--trace-jsonl")
-            trace_jsonl = need_value(argc, argv, i);
-        else if (a == "--trace-events")
-            trace_capacity = static_cast<std::size_t>(parse_int(
-                a.c_str(), need_value(argc, argv, i), 1, 1ll << 32));
-        else if (a == "--snapshot-every")
-            snapshot_every = static_cast<Cycle>(parse_uint(
-                a.c_str(), need_value(argc, argv, i), 1000000000000ull));
-        else if (a == "--snapshot-out")
-            snapshot_out = need_value(argc, argv, i);
-        else if (a == "--worker-spec")
-            worker_spec = need_value(argc, argv, i);
-        else if (a == "--worker-out")
-            worker_out = need_value(argc, argv, i);
-        else if (a == "--fault-kill-router") {
-            const auto f = fault_fields(a, i, 3);
-            cfg.fault.kill_router(static_cast<Cycle>(f[0]),
-                                  static_cast<SubnetId>(f[1]),
-                                  static_cast<NodeId>(f[2]));
-        } else if (a == "--fault-kill-link") {
-            std::string dir;
-            const auto f = fault_fields(a, i, 3, &dir);
-            cfg.fault.kill_link(static_cast<Cycle>(f[0]),
-                                static_cast<SubnetId>(f[1]),
-                                static_cast<NodeId>(f[2]),
-                                parse_direction(dir));
-        } else if (a == "--fault-wake-stuck") {
-            const auto f = fault_fields(a, i, 3);
-            cfg.fault.stick_wake(static_cast<Cycle>(f[0]),
-                                 static_cast<SubnetId>(f[1]),
-                                 static_cast<NodeId>(f[2]));
-        } else if (a == "--fault-lose-wakes") {
-            const auto f = fault_fields(a, i, 4);
-            cfg.fault.lose_wakes(static_cast<Cycle>(f[0]),
-                                 static_cast<SubnetId>(f[1]),
-                                 static_cast<NodeId>(f[2]),
-                                 static_cast<Cycle>(f[3]));
-        } else if (a == "--fault-delay-wakes") {
-            const auto f = fault_fields(a, i, 5);
-            cfg.fault.delay_wakes(static_cast<Cycle>(f[0]),
-                                  static_cast<SubnetId>(f[1]),
-                                  static_cast<NodeId>(f[2]),
-                                  static_cast<Cycle>(f[3]),
-                                  static_cast<Cycle>(f[4]));
-        } else if (a == "--fault-rcs-glitch") {
-            const auto f = fault_fields(a, i, 3);
-            cfg.fault.glitch_rcs(static_cast<Cycle>(f[0]),
-                                 static_cast<SubnetId>(f[1]),
-                                 static_cast<NodeId>(f[2]));
-        } else if (a == "--fault-wake-loss-prob")
-            cfg.fault.wake_loss_prob = parse_real(
-                a.c_str(), need_value(argc, argv, i), 0.0, 1.0);
-        else if (a == "--fault-rcs-glitch-prob")
-            cfg.fault.rcs_glitch_prob = parse_real(
-                a.c_str(), need_value(argc, argv, i), 0.0, 1.0);
-        else if (a == "--fault-seed")
-            cfg.fault.seed =
-                parse_uint(a.c_str(), need_value(argc, argv, i));
-        else if (a == "--fault-wake-timeout")
-            cfg.fault.tuning.t_wake_timeout = static_cast<Cycle>(parse_uint(
-                a.c_str(), need_value(argc, argv, i), 1000000000000ull));
-        else if (a == "--fault-packet-timeout")
-            cfg.fault.tuning.packet_timeout = static_cast<Cycle>(parse_uint(
-                a.c_str(), need_value(argc, argv, i), 1000000000000ull));
-        else {
-            std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-            usage(kExitUsage);
-        }
-    }
+    std::vector<Flag> flags = {
+        {"--mode", names_of(kModes), "experiment type (default synthetic)",
+         store_name(app, kModes), kNetwork},
+        {"--subnets", "N", "number of subnets (default 4)",
+         store_int(cfg.num_subnets, 1, 16), kNetwork},
+        {"--width", "BITS", "aggregate datapath bits (default 512)",
+         store_int(cfg.total_link_bits, 1, 1 << 20), kNetwork},
+        {"--selector", names_of(kSelectors),
+         "subnet selector (default catnap)",
+         store_name(cfg.selector, kSelectors), kNetwork},
+        {"--gating", names_of(kGatings), "power gating (default catnap)",
+         store_name(cfg.gating, kGatings), kNetwork},
+        {"--metric", names_of(kMetrics), "congestion metric (default bfm)",
+         store_name(cfg.congestion.metric, kMetrics), kNetwork},
+        {"--threshold", "X", "congestion threshold (default: the metric's)",
+         store_real(threshold, 0.0, 1e9), kNetwork},
+        {"--no-rcs", "", "disable the regional OR network",
+         store_bool(cfg.congestion.use_rcs, false), kNetwork},
+        {"--mesh", "W", "mesh width == height (default 8)",
+         [&](const std::string &flag, const std::string &v) {
+             // Lower bound 2: a zero- or one-node "mesh" has no links to
+             // route over and every pattern degenerates.
+             const int w =
+                 static_cast<int>(parse_int(flag.c_str(), v, 2, 64));
+             cfg.mesh_width = cfg.mesh_height = w;
+             cfg.region_width = w >= 8 ? 4 : (w >= 4 ? 2 : 1);
+         }, kNetwork},
+        {"--warmup", "N", "warm-up cycles",
+         both(rp.warmup, ap.warmup, kMaxCycles), kNetwork},
+        {"--measure", "N", "measured cycles (at least 1)",
+         both(rp.measure, ap.measure, kMaxCycles), kNetwork},
+        {"--seed", "N", "RNG seed", both(rp.seed, ap.seed, ~0ull), kNetwork},
+        {"--no-vscale", "", "run everything at 0.750 V",
+         [&](const std::string &, const std::string &) {
+             rp.voltage_scaling = ap.voltage_scaling = false;
+         }, kNetwork},
+        {"--fault-kill-router", "C:S:N",
+         "router death at cycle C, subnet S, node N\n(every event repeats)",
+         fault_event(FaultKind::kRouterFailure), kNetwork},
+        {"--fault-kill-link", "C:S:N:DIR",
+         "dead output link (DIR = " + names_of(kDirections) + ")",
+         fault_event(FaultKind::kLinkFailure), kNetwork},
+        {"--fault-wake-stuck", "C:S:N", "wake hangs until retries escalate",
+         fault_event(FaultKind::kWakeStuck), kNetwork},
+        {"--fault-lose-wakes", "C:S:N:DUR", "swallow wake-ups for DUR cycles",
+         fault_event(FaultKind::kLostWake), kNetwork},
+        {"--fault-delay-wakes", "C:S:N:DUR:DELAY",
+         "defer wake-ups by DELAY for DUR cycles",
+         fault_event(FaultKind::kDelayedWake), kNetwork},
+        {"--fault-rcs-glitch", "C:S:NODE",
+         "flip NODE's region's latched RCS bit once",
+         fault_event(FaultKind::kRcsGlitch), kNetwork},
+        {"--fault-wake-loss-prob", "P", "per-wake loss probability",
+         store_real(cfg.fault.wake_loss_prob, 0.0, 1.0), kNetwork},
+        {"--fault-rcs-glitch-prob", "P", "per-region RCS glitch probability",
+         store_real(cfg.fault.rcs_glitch_prob, 0.0, 1.0), kNetwork},
+        {"--fault-seed", "N", "fault RNG stream seed",
+         store_uint(cfg.fault.seed), kNetwork},
+        {"--fault-wake-timeout", "N", "cycles before a wake is retried",
+         store_uint(cfg.fault.tuning.t_wake_timeout, kMaxCycles), kNetwork},
+        {"--fault-packet-timeout", "N", "end-to-end deadline per attempt",
+         store_uint(cfg.fault.tuning.packet_timeout, kMaxCycles), kNetwork},
+        {"--pattern", names_of(kPatterns), "traffic pattern (default uniform)",
+         store_name(traffic.pattern, kPatterns), kSynthetic},
+        {"--packet-bits", "N", "packet size (default 512)",
+         store_int(traffic.packet_bits, 1, 1 << 20), kSynthetic},
+        {"--load", "X", "packets/node/cycle (default 0.1)",
+         [&](const std::string &flag, const std::string &v) {
+             traffic.load = parse_load(flag, v);
+         }, kSingleRun},
+        {"--save-ckpt", "FILE",
+         "checkpoint at the end of warm-up\n(DESIGN.md §13)",
+         store_text(save_ckpt), kSingleRun},
+        {"--load-ckpt", "FILE",
+         "resume from FILE; every other flag must\nmatch the saving run",
+         store_text(load_ckpt), kSingleRun},
+        {"--ckpt-every", "N", "save every N cycles instead",
+         store_uint(ckpt_every, kMaxCycles), kSingleRun, {"--save-ckpt"}},
+        {"--trace-out", "FILE", "write Chrome trace-event JSON (Perfetto)",
+         store_text(trace_out), kSingleRun},
+        {"--trace-jsonl", "FILE", "write the raw event stream as JSONL",
+         store_text(trace_jsonl), kSingleRun},
+        {"--trace-events", "N",
+         "event ring-buffer capacity\n(default 1048576; oldest dropped)",
+         store_int(trace_capacity, 1, 1ll << 32), kSingleRun,
+         {"--trace-out", "--trace-jsonl"}},
+        {"--snapshot-every", "N", "epoch snapshot interval, cycles",
+         store_uint(snapshot_every, kMaxCycles), kSingleRun},
+        {"--snapshot-out", "FILE", "snapshot CSV (default snapshots.csv)",
+         store_text(snapshot_out), kSingleRun, {"--snapshot-every"}},
+        {"--workload", names_of(kWorkloads), "Table 3 mix (default light)",
+         store_name(workload, kWorkloads), kAppRun},
+        {"--worker-spec", "FILE", "run the one point sealed in FILE",
+         store_text(worker_spec), kWorkerRun, {"--worker-out"}},
+        {"--worker-out", "FILE", "write its sealed result to FILE",
+         store_text(worker_out), kWorkerRun, {"--worker-spec"}},
+        {"--loads", "A,B,C",
+         "sweep offered loads instead of one --load\npoint (DESIGN.md §12)",
+         [&](const std::string &flag, const std::string &v) {
+             loads = parse_loads(flag, v);
+         }, kLoadSweep},
+        csv_flag(csv_out, kLoadSweep),
+    };
+    for (Flag &f : sweep_flags(sweep, kAllSweepFlags, kLoadSweep))
+        flags.push_back(std::move(f));
+    parse_command_line(
+        argc, argv,
+        {"catnap_sim -- drive one Catnap Multi-NoC experiment\n"
+         "exit: 0 ok, 1 runtime error, 2 usage, 3 bad value, 4 quarantine",
+         flags,
+         {"single run", "--loads sweep", "--mode app run",
+          "worker run (internal; DESIGN.md §15)"},
+         [&]() -> std::size_t {
+             if (!worker_spec.empty() || !worker_out.empty())
+                 return kWorker;
+             if (app)
+                 return kApp;
+             return loads.empty() ? kSingle : kSweep;
+         }});
 
-    // Worker mode short-circuits everything else: the spec file is the
-    // whole configuration (see run_worker above).
-    if (!worker_spec.empty() || !worker_out.empty()) {
-        if (worker_spec.empty() || worker_out.empty()) {
-            std::fprintf(stderr, "--worker-spec and --worker-out are "
-                                 "required together\n");
-            usage(kExitUsage);
-        }
+    // Worker mode: the spec file is the whole configuration.
+    if (!worker_spec.empty() || !worker_out.empty())
         return run_worker(worker_spec, worker_out);
-    }
 
     // Cross-field checks the per-flag parsers cannot see.
+    if (rp.measure == 0)
+        die_value("--measure", "0",
+                  "measurement phase must be at least 1 cycle");
     if (cfg.total_link_bits % cfg.num_subnets != 0) {
         die_value("--width", std::to_string(cfg.total_link_bits),
                   "the aggregate datapath does not split evenly across " +
@@ -485,45 +380,34 @@ main(int argc, char **argv)
                   "(off, idle or catnap); per-port gating has no fault "
                   "model");
     }
-    check_sweep_options(sweep);
-    if ((sweep.isolate || !sweep.journal.empty()) &&
-        (mode != "synthetic" || loads.empty())) {
-        std::fprintf(stderr, "--isolate and --journal apply to synthetic "
-                             "--loads sweeps\n");
-        usage(kExitUsage);
-    }
-    if (!csv_out.empty() && (mode != "synthetic" || loads.empty())) {
-        std::fprintf(stderr, "--csv saves a synthetic --loads sweep\n");
-        usage(kExitUsage);
-    }
-    if (mode == "app" &&
-        (!trace_out.empty() || !trace_jsonl.empty() || snapshot_every > 0 ||
-         !save_ckpt.empty() || !load_ckpt.empty())) {
-        std::fprintf(stderr, "tracing, snapshots and checkpoints record a "
-                             "synthetic run; not available with --mode "
-                             "app\n");
-        usage(kExitUsage);
-    }
     cfg.congestion.threshold =
         threshold >= 0.0
             ? threshold
             : CongestionConfig::default_threshold(cfg.congestion.metric);
 
-    if (mode == "synthetic" && !loads.empty()) {
+    if (app) {
+        const int cores =
+            cfg.mesh_width * cfg.mesh_height * cfg.concentration;
+        if (cores % kMixApps != 0) {
+            die_value("--mesh", std::to_string(cfg.mesh_width),
+                      "its " + std::to_string(cores) +
+                          " cores do not split evenly across a mix's " +
+                          std::to_string(kMixApps) + " applications");
+        }
+        const WorkloadMix mix = workload(cores);
+        const AppRunResult r = run_app_workload(cfg, mix, ap);
+        std::printf("config       : %s, workload %s (avg MPKI %.1f)\n",
+                    r.config_label.c_str(), mix.name.c_str(),
+                    mix.average_mpki());
+        std::printf("IPC/core     : %.3f\n", r.ipc);
+        std::printf("pkt latency  : %.1f cycles\n", r.avg_latency);
+        std::printf("CSC          : %.1f %%\n", r.csc_percent);
+        std::printf("voltage      : %.3f V\n", r.vdd);
+        print_power(r.power, r.power_static);
+    } else if (!loads.empty()) {
         // Load sweep: one point per load on the backend the sweep flags
         // select; results arrive in load order, bit-identical across
         // backends and --jobs values (the status line goes to stderr).
-        if (!trace_out.empty() || !trace_jsonl.empty() ||
-            snapshot_every > 0) {
-            std::fprintf(stderr, "tracing/snapshots record one run; not "
-                                 "available with --loads\n");
-            usage(2);
-        }
-        if (!save_ckpt.empty() || !load_ckpt.empty()) {
-            std::fprintf(stderr, "checkpoints capture one run; not "
-                                 "available with --loads\n");
-            usage(2);
-        }
         std::vector<RunItem> items;
         items.reserve(loads.size());
         for (const double load : loads) {
@@ -548,17 +432,13 @@ main(int argc, char **argv)
             std::printf("csv          : wrote %zu rows to %s\n",
                         rows.size(), csv_out.c_str());
         }
-    } else if (mode == "synthetic") {
+    } else {
         std::unique_ptr<EventTrace> trace;
-        if (!trace_out.empty() || !trace_jsonl.empty()) {
+        if (!trace_out.empty() || !trace_jsonl.empty())
             trace = std::make_unique<EventTrace>(trace_capacity);
-            rp.sink = trace.get();
-        }
         std::unique_ptr<SnapshotRecorder> snaps;
-        if (snapshot_every > 0) {
+        if (snapshot_every > 0)
             snaps = std::make_unique<SnapshotRecorder>(snapshot_every);
-            rp.snapshots = snaps.get();
-        }
 
         std::unique_ptr<SyntheticRun> run;
         try {
@@ -571,7 +451,9 @@ main(int argc, char **argv)
             } else {
                 run = std::make_unique<SyntheticRun>(cfg, traffic, rp);
             }
-            if (!save_ckpt.empty() && ckpt_every > 0)
+            run->set_event_sink(trace.get());
+            run->set_snapshots(snaps.get());
+            if (ckpt_every > 0)
                 run->set_autosave(save_ckpt, ckpt_every);
             run->run_warmup();
             if (!save_ckpt.empty() && ckpt_every == 0) {
@@ -639,20 +521,6 @@ main(int argc, char **argv)
             std::printf("snapshots    : wrote %zu rows to %s\n",
                         snaps->rows().size(), snapshot_out.c_str());
         }
-    } else if (mode == "app") {
-        const WorkloadMix mix = parse_workload(workload);
-        const AppRunResult r = run_app_workload(cfg, mix, ap);
-        std::printf("config       : %s, workload %s (avg MPKI %.1f)\n",
-                    r.config_label.c_str(), mix.name.c_str(),
-                    mix.average_mpki());
-        std::printf("IPC/core     : %.3f\n", r.ipc);
-        std::printf("pkt latency  : %.1f cycles\n", r.avg_latency);
-        std::printf("CSC          : %.1f %%\n", r.csc_percent);
-        std::printf("voltage      : %.3f V\n", r.vdd);
-        print_power(r.power, r.power_static);
-    } else {
-        std::fprintf(stderr, "unknown mode: %s\n", mode.c_str());
-        usage(2);
     }
     return 0;
 }

@@ -272,6 +272,7 @@ main(int argc, char **argv)
             collect_defs(static_cast<int>(i), sources[i], scopes[i],
                          prog);
         }
+        scan_defs(sources, prog);
         for (FunctionDef &d : prog.defs) {
             d.phase = resolve_phase(prog, d);
             d.shard_safe = resolve_shard_safe(prog, d);

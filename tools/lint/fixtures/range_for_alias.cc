@@ -4,9 +4,7 @@
 // passes it vals_, so `catnap_lint --effects-out` over this file must
 // list vals_ among Filler's writes (golden_range_for_alias.json).
 // Missing that write, refresh() would look effect-pure and L6 would
-// flag its CATNAP_PHASE_WRITE label. (The helper is not named `fill`:
-// the body scan treats that name as std::fill and marks its arguments
-// written without looking at the body.)
+// flag its CATNAP_PHASE_WRITE label.
 #include <vector>
 
 #include "common/phase.h"

@@ -1070,8 +1070,12 @@ scan_body(const Program &prog, const std::vector<Token> &t,
             static const std::set<std::string> kDstOnlyFns = {
                 "memset", "memcpy", "memmove",
             };
-            if (kMutFreeFns.count(id) > 0 &&
-                (cs.cls_hint.empty() || cs.cls_hint == "std")) {
+            // Only a `std::` call or a name no project function bears:
+            // a project `sort` has a body the effect pass closes over.
+            const bool std_call =
+                cs.cls_hint == "std" ||
+                (cs.cls_hint.empty() && prog.defs_by_name.count(id) == 0);
+            if (kMutFreeFns.count(id) > 0 && std_call) {
                 for (std::size_t ai = 0; ai < cs.arg_bases.size();
                      ++ai) {
                     const std::string &b = cs.arg_bases[ai];
@@ -1320,14 +1324,20 @@ collect_defs(int file_idx, const SourceFile &f,
              k < body_open && k < t.size(); ++k)
             if (t[k].text == "override" || t[k].text == "final")
                 d.is_virtual = true;
-        scan_body(prog, t, body_open, body_close, d);
-
         const auto id = static_cast<int>(prog.defs.size());
         prog.defs_by_name[d.name].push_back(id);
         prog.defs_by_cls[{d.cls, d.name}].push_back(id);
         prog.defs.push_back(std::move(d));
         i = body_open; // keep scanning inside for nested definitions
     }
+}
+
+void
+scan_defs(const std::vector<SourceFile> &sources, Program &prog)
+{
+    for (FunctionDef &d : prog.defs)
+        scan_body(prog, sources[static_cast<std::size_t>(d.file)].tokens,
+                  d.body_open, d.body_close, d);
 }
 
 int

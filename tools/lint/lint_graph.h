@@ -244,12 +244,16 @@ void collect_members(const SourceFile &f,
 
 /**
  * Collects every function definition (with body) in @p f: parameter
- * lists, return class, virtual-ness, field accesses with receiver
- * classification, and call sites. Requires class registration and
- * collect_members over *all* inputs to have run first.
+ * lists, return class and virtual-ness. Requires class registration
+ * and collect_members over *all* inputs to have run first.
  */
 void collect_defs(int file_idx, const SourceFile &f,
                   const std::vector<ClassScope> &scopes, Program &prog);
+
+/** Scans every collected definition's body for field accesses and
+ * call sites; runs after collect_defs over *all* inputs, so a call can
+ * tell a project function from the std algorithm of the same name. */
+void scan_defs(const std::vector<SourceFile> &sources, Program &prog);
 
 /**
  * Resolves a definition's phase from the annotation list: an exact

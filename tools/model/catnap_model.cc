@@ -32,6 +32,9 @@ namespace {
 using catnap_model::CheckerOptions;
 using catnap_model::CheckResult;
 
+/** The seeded protocol bugs --mutate can switch on. */
+const catnap::Names<bool> kMutations = {{"sleep-occupied", true}};
+
 struct Cli
 {
     CheckerOptions opts;
@@ -40,26 +43,6 @@ struct Cli
     std::string trace_path;
     bool quiet = false;
 };
-
-void
-usage(std::ostream &os)
-{
-    os << "usage: catnap_model [options]\n"
-          "  --max-states N        state cap (default 400000)\n"
-          "  --max-depth N         environment events per path "
-          "(default 48)\n"
-          "  --probe-bound N       P1/P6 drain probe length "
-          "(default 48)\n"
-          "  --fault-budget N      faults per explored trace "
-          "(default 1)\n"
-          "  --mutate sleep-occupied\n"
-          "                        seed the sleep-with-occupied-buffer "
-          "bug (P4 self-test)\n"
-          "  --expect-violation P  exit 0 iff property P is violated\n"
-          "  --sarif PATH          write results as SARIF 2.1.0\n"
-          "  --trace-out PATH      save counterexample Perfetto trace\n"
-          "  --quiet               suppress the counterexample replay\n";
-}
 
 void
 write_model_sarif(const std::string &path, const CheckResult &result)
@@ -110,57 +93,29 @@ int
 main(int argc, char **argv)
 {
     Cli cli;
-    const std::vector<std::string> args(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        const auto need_value = [&](const char *flag) -> std::string {
-            if (i + 1 >= args.size()) {
-                std::cerr << "catnap_model: " << flag
-                          << " needs a value\n";
-                std::exit(2);
-            }
-            return args[++i];
-        };
-        // Strict count: whole string, non-negative, exits 3 otherwise.
-        const auto count = [&](const char *flag, long long hi) {
-            return catnap::parse_int(flag, need_value(flag), 0, hi);
-        };
-        if (a == "--max-states") {
-            cli.opts.max_states =
-                static_cast<std::size_t>(count("--max-states", 1ll << 40));
-        } else if (a == "--max-depth") {
-            cli.opts.max_depth = static_cast<int>(count("--max-depth", 1 << 20));
-        } else if (a == "--probe-bound") {
-            cli.opts.probe_bound =
-                static_cast<int>(count("--probe-bound", 1 << 20));
-        } else if (a == "--fault-budget") {
-            cli.opts.config.fault_budget =
-                static_cast<int>(count("--fault-budget", 1 << 20));
-        } else if (a == "--mutate") {
-            const std::string m = need_value("--mutate");
-            if (m != "sleep-occupied") {
-                std::cerr << "catnap_model: unknown mutation '" << m
-                          << "'\n";
-                return 2;
-            }
-            cli.opts.config.mutate_unsafe_sleep = true;
-        } else if (a == "--expect-violation") {
-            cli.expect_violation = need_value("--expect-violation");
-        } else if (a == "--sarif") {
-            cli.sarif_path = need_value("--sarif");
-        } else if (a == "--trace-out") {
-            cli.trace_path = need_value("--trace-out");
-        } else if (a == "--quiet") {
-            cli.quiet = true;
-        } else if (a == "--help" || a == "-h") {
-            usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << "catnap_model: unknown option '" << a << "'\n";
-            usage(std::cerr);
-            return 2;
-        }
-    }
+    using namespace catnap;
+    parse_command_line(
+        argc, argv,
+        {"usage: catnap_model [options]",
+         {{"--max-states", "N", "state cap (default 400000)",
+           store_int(cli.opts.max_states, 0, 1ll << 40)},
+          {"--max-depth", "N", "environment events per path (default 48)",
+           store_int(cli.opts.max_depth, 0, 1 << 20)},
+          {"--probe-bound", "N", "P1/P6 drain probe length (default 48)",
+           store_int(cli.opts.probe_bound, 0, 1 << 20)},
+          {"--fault-budget", "N", "faults per explored trace (default 1)",
+           store_int(cli.opts.config.fault_budget, 0, 1 << 20)},
+          {"--mutate", names_of(kMutations),
+           "seed the sleep-with-occupied-buffer bug\n(P4 self-test)",
+           store_name(cli.opts.config.mutate_unsafe_sleep, kMutations)},
+          {"--expect-violation", "P", "exit 0 iff property P is violated",
+           store_text(cli.expect_violation)},
+          {"--sarif", "PATH", "write results as SARIF 2.1.0",
+           store_text(cli.sarif_path)},
+          {"--trace-out", "PATH", "save counterexample Perfetto trace",
+           store_text(cli.trace_path)},
+          {"--quiet", "", "suppress the counterexample replay",
+           store_bool(cli.quiet, true)}}});
 
     const CheckResult result = catnap_model::run_checker(cli.opts);
 
