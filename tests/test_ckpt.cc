@@ -27,6 +27,7 @@
 #include "fault/fault.h"
 #include "noc/multinoc.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 #include "traffic/synthetic.h"
 
 namespace catnap {
@@ -432,18 +433,6 @@ TEST(CkptHash, SensitiveToEveryInterestingField)
     EXPECT_EQ(point_hash(identity_item()), key0);
 }
 
-/** FNV-1a 64 over @p bytes, one byte at a time. */
-std::uint64_t
-digest(const std::vector<std::uint8_t> &bytes)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 TEST(CkptHash, IdentitiesMatchTheParentCommit)
 {
     // Journals, worker images and run checkpoints written by earlier
@@ -465,7 +454,7 @@ TEST(CkptHash, IdentitiesMatchTheParentCommit)
     EXPECT_EQ(header.take_u64(), 0x1c48173bf5767e46ULL);
 
     const std::vector<std::uint8_t> spec = encode_point_spec(item);
-    EXPECT_EQ(digest(spec), 0x91bff14d39abe5f4ULL);
+    EXPECT_EQ(test::digest(spec), 0x91bff14d39abe5f4ULL);
     EXPECT_EQ(point_hash(decode_point_spec(spec)), point_hash(item));
 
     SyntheticResult res;
@@ -495,7 +484,7 @@ TEST(CkptHash, IdentitiesMatchTheParentCommit)
     res.faults_fired = 5236;
     res.subnet_failures = 1;
     const std::vector<std::uint8_t> result = encode_point_result(item, res);
-    EXPECT_EQ(digest(result), 0x717ec1ab2eba6586ULL);
+    EXPECT_EQ(test::digest(result), 0x717ec1ab2eba6586ULL);
 
     const SyntheticResult back = decode_point_result(item, result);
     expect_identical(back, res);
@@ -919,7 +908,7 @@ TEST(CkptApp, CmpSystemRoundTripAndBehavioralIdentity)
     a.Serialize(w);
     // The golden gate runs no CMP: this pins the image's bytes, the
     // deferred-send queue included.
-    EXPECT_EQ(digest(w.bytes()), 0xf599524b939141d6ULL);
+    EXPECT_EQ(test::digest(w.bytes()), 0xf599524b939141d6ULL);
 
     CmpSystem b(cfg, mix, SystemParams());
     ckpt::Reader r(w.bytes());

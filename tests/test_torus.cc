@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "ckpt/archive.h"
 #include "noc/multinoc.h"
 #include "noc/routing.h"
 #include "test_util.h"
@@ -188,6 +189,25 @@ TEST(Torus, CatnapGatingWorksOnTorus)
     // Subnet 0 stays on; higher subnets sleep.
     for (NodeId n = 0; n < net.num_nodes(); ++n)
         EXPECT_EQ(net.router(0, n).power_state(), PowerState::kActive);
+}
+
+TEST(Torus, LoadedRunImageIsPinned)
+{
+    // No golden run covers a torus: this pins a loaded run's network
+    // image, so a change to the dateline VC choice or to the order the
+    // allocators visit requests shows here. A VC allocator that ignored
+    // a wrap on the current hop still passes every other test.
+    MultiNoc net(torus_cfg(2));
+    SyntheticConfig traffic;
+    traffic.load = 0.30;
+    SyntheticTraffic gen(&net, traffic, 11);
+    for (Cycle c = 0; c < 2000; ++c) {
+        gen.step(net.now());
+        net.tick();
+    }
+    ckpt::Writer w;
+    net.Serialize(w);
+    EXPECT_EQ(test::digest(w.bytes()), 0x2cbf8eb87dfdc738ULL);
 }
 
 TEST(Torus, LowerZeroLoadLatencyThanMesh)

@@ -5,6 +5,9 @@
 #ifndef CATNAP_TESTS_TEST_UTIL_H
 #define CATNAP_TESTS_TEST_UTIL_H
 
+#include <cstdint>
+#include <vector>
+
 #include "noc/multinoc.h"
 
 namespace catnap {
@@ -26,6 +29,18 @@ drain_until_quiescent(MultiNoc &net, Cycle budget = 120000)
     while (net.now() < end && !net.quiescent())
         net.tick();
     return net.quiescent();
+}
+
+/** FNV-1a 64 over @p bytes, one byte at a time. */
+inline std::uint64_t
+digest(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
 }
 
 } // namespace test
