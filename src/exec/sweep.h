@@ -113,8 +113,8 @@ names_of(const Names<T> &names)
 /** Reports a malformed command line and exits kExitUsage. */
 [[noreturn]] void die_usage(const std::string &why);
 
-/** The value @p value names in @p names; an unknown name is a usage
- * error that lists the known ones. */
+/** The value @p value names in @p names; an unknown name is an invalid
+ * value (kExitBadValue) whose message lists the known ones. */
 template <typename T>
 const T &
 parse_name(const char *flag, const std::string &value, const Names<T> &names)
@@ -122,8 +122,7 @@ parse_name(const char *flag, const std::string &value, const Names<T> &names)
     for (const auto &n : names)
         if (n.first == value)
             return n.second;
-    die_usage("unknown value '" + value + "' for " + flag + " (expected " +
-              names_of(names) + ")");
+    die_value(flag, value, "expected " + names_of(names));
 }
 
 /** Applies one occurrence of a flag: called with the flag's name (for

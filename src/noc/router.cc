@@ -1,6 +1,7 @@
 #include "noc/router.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "ckpt/codec.h"
@@ -15,6 +16,26 @@ namespace {
  * (conceptually unbounded) reassembly buffers. */
 constexpr int kLocalPortCredits = std::numeric_limits<int>::max() / 2;
 
+/** @p i (in [0, 2 * @p n)) wrapped into [0, @p n). */
+int
+wrap(int i, int n)
+{
+    return i < n ? i : i - n;
+}
+
+/**
+ * Steps from position @p pos to the first set bit of @p mask at or after
+ * it, wrapping within @p n positions (@p mask nonzero and below bit
+ * @p n, @p pos in [0, @p n)). std::rotr would wrap at bit 32 instead.
+ */
+int
+steps_to_next(std::uint32_t mask, int pos, int n)
+{
+    const std::uint32_t ahead = mask >> pos;
+    return ahead != 0 ? std::countr_zero(ahead)
+                      : n - pos + std::countr_zero(mask);
+}
+
 } // namespace
 
 Router::Router(NodeId node, SubnetId subnet, const SubnetParams &params,
@@ -25,6 +46,8 @@ Router::Router(NodeId node, SubnetId subnet, const SubnetParams &params,
                   "router needs VCs and buffer depth");
     CATNAP_ASSERT(params_.num_vcs % params_.num_classes == 0,
                   "VCs must partition evenly across message classes");
+    CATNAP_ASSERT(kNumPorts * params_.num_vcs <= 32,
+                  "the allocators' request masks hold at most 32 input VCs");
 
     const auto slots =
         static_cast<std::size_t>(kNumPorts * params_.num_vcs);
@@ -67,37 +90,72 @@ Router::evaluate(Cycle now)
         return;
     if (total_buffered_ == 0)
         return;
-    run_vc_allocation(now);
-    run_switch_allocation(now);
+    Requests req = requests();
+#if defined(CATNAP_CHECKS) && CATNAP_CHECKS
+    const SlotScan scan = slot_scan(now);
+#endif
+    run_vc_allocation(req);
+    const SwitchGrants grants = run_switch_allocation(now, req);
+#if defined(CATNAP_CHECKS) && CATNAP_CHECKS
+    check_slot_scan(scan, grants, now);
+#endif
+    traverse(now, grants);
+}
+
+Router::Requests
+Router::requests() const
+{
+    const int num_vcs = params_.num_vcs;
+    Requests req;
+    for (int port = 0, slot = 0; port < kNumPorts; ++port) {
+        for (int vc = 0; vc < num_vcs; ++vc, ++slot) {
+            const auto &fifo = fifos_[static_cast<std::size_t>(slot)];
+            if (fifo.empty())
+                continue;
+            if (vc_state_[static_cast<std::size_t>(slot)].active) {
+                req.sa[static_cast<std::size_t>(port)] |= 1u << vc;
+                continue;
+            }
+            const Flit &head = fifo.front();
+            const int out = port_index(head.out_dir);
+            // No U-turns (X-Y routing never needs them).
+            if (head.is_head() && out != port)
+                req.va[static_cast<std::size_t>(out)] |= 1u << slot;
+        }
+    }
+    return req;
 }
 
 void
-Router::run_vc_allocation(Cycle now)
+Router::run_vc_allocation(Requests &req)
 {
-    (void)now;
     const int num_vcs = params_.num_vcs;
     const int slots = kNumPorts * num_vcs;
 
-    // For each output port, scan head-of-VC head flits requesting that
-    // port in round-robin order and hand out free downstream VCs within
-    // the packet's message-class partition.
+    // For each output port, visit the head flits requesting it and hand
+    // out free downstream VCs within each packet's message-class
+    // partition. The visiting order is part of the model: it is that of
+    // a round-robin scan over all slots that re-reads va_rr_[out] at
+    // every step i, so after a grant at step i the scan goes on at
+    // (slot + 1) + (i + 1). The walk counts the positions it skips as
+    // steps to keep that order; another order changes the results.
     for (int out = 0; out < kNumPorts; ++out) {
+        int &rr = va_rr_[static_cast<std::size_t>(out)];
+        std::uint32_t want = req.va[static_cast<std::size_t>(out)];
+        int pos = rr; // the slot step i visits
         int granted = 0;
-        for (int i = 0; i < slots && granted < num_vcs; ++i) {
-            const int slot = (va_rr_[static_cast<std::size_t>(out)] + i)
-                             % slots;
-            const int inport = slot / num_vcs;
-            if (inport == out)
-                continue; // no U-turns (X-Y routing never needs them)
-            auto &st = vc_state_[static_cast<std::size_t>(slot)];
-            const auto &fifo = fifos_[static_cast<std::size_t>(slot)];
-            if (st.active || fifo.empty())
-                continue;
-            const Flit &head = fifo.front();
-            if (!head.is_head() ||
-                port_index(head.out_dir) != out) {
-                continue;
-            }
+        for (int i = 0; want != 0 && granted < num_vcs; ++i) {
+            const int skip = steps_to_next(want, pos, slots);
+            i += skip;
+            if (i >= slots)
+                break;
+            const int slot = wrap(pos + skip, slots);
+            // Within one call a denied slot stays denied and a granted
+            // one is active, so a visited slot leaves the walk.
+            want &= ~(1u << slot);
+            pos = wrap(slot + 1, slots);
+
+            const Flit &head = fifos_[static_cast<std::size_t>(slot)].front();
             // Find a free VC in this message class's partition. On a
             // torus each partition is split into a dateline pair: the
             // lower half serves packets that have not crossed their
@@ -126,83 +184,95 @@ Router::run_vc_allocation(Cycle now)
                 continue;
             out_owner_[fifo_index(out, chosen)] =
                 static_cast<std::int64_t>(head.pkt) + 1;
+            auto &st = vc_state_[static_cast<std::size_t>(slot)];
             st.active = true;
             st.out_dir = head.out_dir;
             st.out_vc = chosen;
             ++granted;
             ++activity_.arb_ops;
-            // Rotate priority past this requestor for fairness.
-            va_rr_[static_cast<std::size_t>(out)] = (slot + 1) % slots;
+            // Rotate priority past this requestor for fairness; switch
+            // allocation may use the new VC in this same cycle.
+            rr = pos;
+            pos = (slot + 1 + i + 1) % slots;
+            req.sa[static_cast<std::size_t>(slot / num_vcs)] |=
+                1u << (slot % num_vcs);
         }
     }
 }
 
-void
-Router::run_switch_allocation(Cycle now)
+bool
+Router::downstream_accepts(int out, Cycle now) const
+{
+    if (out == port_index(Direction::kLocal))
+        return true;
+    const Router *nbr = neighbors_[static_cast<std::size_t>(out)];
+    CATNAP_ASSERT(nbr != nullptr, "route out of mesh at node ", node_);
+    return nbr->can_accept_at(
+        opposite(direction_from_index(out)),
+        now + static_cast<Cycle>(params_.st_delay + params_.link_delay));
+}
+
+Router::SwitchGrants
+Router::run_switch_allocation(Cycle now, const Requests &req)
 {
     const int num_vcs = params_.num_vcs;
+    SwitchGrants g;
+    g.nominee_vc.fill(-1);
+    g.winner_in.fill(-1);
 
-    // Input-first separable allocation: each input port nominates one
-    // ready VC, then each output port picks one nominating input port.
-    std::array<int, kNumPorts> nominee_vc;
-    nominee_vc.fill(-1);
-
+    // Input-first separable allocation: each input port nominates its
+    // first ready VC from sa_input_rr_, then each output port grants the
+    // first nominating input port from sa_output_rr_. Whether an output
+    // port's downstream input accepts a flit depends on the port only,
+    // so it is asked once (0/1, -1 until asked).
+    std::array<int, kNumPorts> accepts;
+    accepts.fill(-1);
+    std::array<std::uint32_t, kNumPorts> nominating{}; // per output port
     for (int inport = 0; inport < kNumPorts; ++inport) {
-        for (int i = 0; i < num_vcs; ++i) {
-            const int invc =
-                (sa_input_rr_[static_cast<std::size_t>(inport)] + i)
-                % num_vcs;
-            const auto idx = fifo_index(inport, invc);
-            const auto &st = vc_state_[idx];
-            const auto &fifo = fifos_[idx];
-            if (!st.active || fifo.empty())
-                continue;
+        std::uint32_t want = req.sa[static_cast<std::size_t>(inport)];
+        const int rr = sa_input_rr_[static_cast<std::size_t>(inport)];
+        while (want != 0) {
+            const int invc = wrap(rr + steps_to_next(want, rr, num_vcs),
+                                  num_vcs);
+            want &= ~(1u << invc);
+            const auto &st = vc_state_[fifo_index(inport, invc)];
             const int out = port_index(st.out_dir);
             if (out_credits_[fifo_index(out, st.out_vc)] <= 0)
                 continue;
-            if (st.out_dir != Direction::kLocal) {
-                Router *nbr =
-                    neighbors_[static_cast<std::size_t>(out)];
-                CATNAP_ASSERT(nbr != nullptr,
-                              "route out of mesh at node ", node_);
-                const Cycle arrival =
-                    now + static_cast<Cycle>(params_.st_delay
-                                             + params_.link_delay);
-                if (!nbr->can_accept_at(opposite(st.out_dir), arrival))
-                    continue;
-            }
-            if (nominee_vc[static_cast<std::size_t>(inport)] < 0)
-                nominee_vc[static_cast<std::size_t>(inport)] = invc;
-        }
-    }
-
-    // Output arbitration among nominating inputs.
-    std::array<int, kNumPorts> winner_in;
-    winner_in.fill(-1);
-    for (int out = 0; out < kNumPorts; ++out) {
-        for (int i = 0; i < kNumPorts; ++i) {
-            const int inport =
-                (sa_output_rr_[static_cast<std::size_t>(out)] + i)
-                % kNumPorts;
-            const int invc = nominee_vc[static_cast<std::size_t>(inport)];
-            if (invc < 0)
+            int &open = accepts[static_cast<std::size_t>(out)];
+            if (open < 0)
+                open = downstream_accepts(out, now) ? 1 : 0;
+            if (open == 0)
                 continue;
-            const auto &st = vc_state_[fifo_index(inport, invc)];
-            if (port_index(st.out_dir) != out)
-                continue;
-            winner_in[static_cast<std::size_t>(out)] = inport;
-            sa_output_rr_[static_cast<std::size_t>(out)] =
-                (inport + 1) % kNumPorts;
+            g.nominee_vc[static_cast<std::size_t>(inport)] = invc;
+            nominating[static_cast<std::size_t>(out)] |= 1u << inport;
             break;
         }
     }
 
-    // Traversal for winners.
+    // Output arbitration among nominating inputs.
     for (int out = 0; out < kNumPorts; ++out) {
-        const int inport = winner_in[static_cast<std::size_t>(out)];
+        const std::uint32_t from = nominating[static_cast<std::size_t>(out)];
+        if (from == 0)
+            continue;
+        int &rr = sa_output_rr_[static_cast<std::size_t>(out)];
+        const int inport =
+            wrap(rr + steps_to_next(from, rr, kNumPorts), kNumPorts);
+        g.winner_in[static_cast<std::size_t>(out)] = inport;
+        rr = wrap(inport + 1, kNumPorts);
+    }
+    return g;
+}
+
+void
+Router::traverse(Cycle now, const SwitchGrants &g)
+{
+    const int num_vcs = params_.num_vcs;
+    for (int out = 0; out < kNumPorts; ++out) {
+        const int inport = g.winner_in[static_cast<std::size_t>(out)];
         if (inport < 0)
             continue;
-        const int invc = nominee_vc[static_cast<std::size_t>(inport)];
+        const int invc = g.nominee_vc[static_cast<std::size_t>(inport)];
         const auto idx = fifo_index(inport, invc);
         auto &st = vc_state_[idx];
         auto &fifo = fifos_[idx];
@@ -740,5 +810,136 @@ Router::Deserialize(ckpt::Reader &r, Cycle now)
     activity_.port_sleep_cycles -= open_port_sleep_cycles(now);
     activity_.active_cycles = 0;
 }
+
+#if defined(CATNAP_CHECKS) && CATNAP_CHECKS
+// ----------------------------------------------------------------------
+// Slot-scan oracle (CATNAP_CHECKS builds only, kept while the request
+// walks are new). The allocators used to scan every [port][vc] slot in
+// round-robin order. evaluate() still runs those scans on copies of the
+// allocation state and panics where they decide otherwise than the
+// walks, so every network a checked build simulates checks the walks.
+// ----------------------------------------------------------------------
+
+Router::SlotScan
+Router::slot_scan(Cycle now) const
+{
+    const int num_vcs = params_.num_vcs;
+    const int slots = kNumPorts * num_vcs;
+    SlotScan s{vc_state_, out_owner_, va_rr_, sa_input_rr_, sa_output_rr_,
+               {}};
+
+    for (int out = 0; out < kNumPorts; ++out) {
+        int granted = 0;
+        for (int i = 0; i < slots && granted < num_vcs; ++i) {
+            const int slot =
+                (s.va_rr[static_cast<std::size_t>(out)] + i) % slots;
+            const int inport = slot / num_vcs;
+            if (inport == out)
+                continue;
+            auto &st = s.vc_state[static_cast<std::size_t>(slot)];
+            const auto &fifo = fifos_[static_cast<std::size_t>(slot)];
+            if (st.active || fifo.empty())
+                continue;
+            const Flit &head = fifo.front();
+            if (!head.is_head() || port_index(head.out_dir) != out)
+                continue;
+            const int cls = static_cast<int>(head.mc) % params_.num_classes;
+            int base = params_.first_vc_of_class(cls);
+            int span = params_.vcs_per_class();
+            if (mesh_.is_torus() && head.out_dir != Direction::kLocal) {
+                span /= 2;
+                if (head.wrapped || mesh_.link_wraps(node_, head.out_dir))
+                    base += span;
+            }
+            VcId chosen = kInvalidVc;
+            for (int v = 0; v < span; ++v) {
+                if (s.out_owner[fifo_index(out, base + v)] == 0) {
+                    chosen = base + v;
+                    break;
+                }
+            }
+            if (chosen == kInvalidVc)
+                continue;
+            s.out_owner[fifo_index(out, chosen)] =
+                static_cast<std::int64_t>(head.pkt) + 1;
+            st.active = true;
+            st.out_dir = head.out_dir;
+            st.out_vc = chosen;
+            ++granted;
+            s.va_rr[static_cast<std::size_t>(out)] = (slot + 1) % slots;
+        }
+    }
+
+    s.grants.nominee_vc.fill(-1);
+    s.grants.winner_in.fill(-1);
+    for (int inport = 0; inport < kNumPorts; ++inport) {
+        for (int i = 0; i < num_vcs; ++i) {
+            const int invc =
+                (s.sa_input_rr[static_cast<std::size_t>(inport)] + i)
+                % num_vcs;
+            const auto idx = fifo_index(inport, invc);
+            const auto &st = s.vc_state[idx];
+            if (!st.active || fifos_[idx].empty())
+                continue;
+            const int out = port_index(st.out_dir);
+            if (out_credits_[fifo_index(out, st.out_vc)] <= 0)
+                continue;
+            if (st.out_dir != Direction::kLocal &&
+                !neighbors_[static_cast<std::size_t>(out)]->can_accept_at(
+                    opposite(st.out_dir),
+                    now + static_cast<Cycle>(params_.st_delay
+                                             + params_.link_delay))) {
+                continue;
+            }
+            auto &nominee =
+                s.grants.nominee_vc[static_cast<std::size_t>(inport)];
+            if (nominee < 0)
+                nominee = invc;
+        }
+    }
+    for (int out = 0; out < kNumPorts; ++out) {
+        for (int i = 0; i < kNumPorts; ++i) {
+            const int inport =
+                (s.sa_output_rr[static_cast<std::size_t>(out)] + i)
+                % kNumPorts;
+            const int invc =
+                s.grants.nominee_vc[static_cast<std::size_t>(inport)];
+            if (invc < 0 ||
+                port_index(s.vc_state[fifo_index(inport, invc)].out_dir) !=
+                    out) {
+                continue;
+            }
+            s.grants.winner_in[static_cast<std::size_t>(out)] = inport;
+            s.sa_output_rr[static_cast<std::size_t>(out)] =
+                (inport + 1) % kNumPorts;
+            break;
+        }
+    }
+    return s;
+}
+
+void
+Router::check_slot_scan(const SlotScan &scan, const SwitchGrants &g,
+                        Cycle now) const
+{
+    const char *differs = nullptr;
+    if (scan.vc_state != vc_state_ || scan.out_owner != out_owner_)
+        differs = "the VC grants";
+    else if (scan.va_rr != va_rr_)
+        differs = "the VC allocation pointers";
+    else if (scan.grants.nominee_vc != g.nominee_vc)
+        differs = "the switch nominees";
+    else if (scan.grants.winner_in != g.winner_in)
+        differs = "the switch winners";
+    else if (scan.sa_input_rr != sa_input_rr_ ||
+             scan.sa_output_rr != sa_output_rr_)
+        differs = "the switch allocation pointers";
+    if (differs) {
+        CATNAP_PANIC("request walk and slot scan disagree on ", differs,
+                     " at node ", node_, " subnet ", subnet_, " cycle ",
+                     now);
+    }
+}
+#endif
 
 } // namespace catnap

@@ -420,6 +420,10 @@ class Router
         VcId out_vc = kInvalidVc;       ///< allocated downstream VC
         Cycle head_since = 0;           ///< when current front became head
 
+        /** Field-wise equality (the slot-scan oracle compares states). */
+        friend bool operator==(const InputVcState &,
+                               const InputVcState &) = default;
+
         /** Field list (ckpt/fields.h). */
         template <typename V, typename T>
         friend ckpt::If<T, InputVcState>
@@ -468,8 +472,52 @@ class Router
         }
     };
 
-    CATNAP_PHASE_READ void run_vc_allocation(Cycle now);
-    CATNAP_PHASE_READ void run_switch_allocation(Cycle now);
+    /**
+     * Allocation requests, built by evaluate() in one pass over the
+     * input VCs each time it runs (never stored, so nothing has to keep
+     * them in step with the buffers).
+     */
+    struct Requests
+    {
+        /** Per output port: the [port][vc] slots whose head flit waits
+         * for a VC there. */
+        std::array<std::uint32_t, kNumPorts> va{};
+        /** Per input port: the VCs that hold an output VC and a flit. */
+        std::array<std::uint32_t, kNumPorts> sa{};
+    };
+
+    /** Switch allocation's outcome, -1 where there is none. */
+    struct SwitchGrants
+    {
+        std::array<int, kNumPorts> nominee_vc; ///< per input port
+        std::array<int, kNumPorts> winner_in;  ///< per output port
+    };
+
+    CATNAP_PHASE_READ Requests requests() const;
+    CATNAP_PHASE_READ void run_vc_allocation(Requests &req);
+    CATNAP_PHASE_READ SwitchGrants run_switch_allocation(Cycle now,
+                                                         const Requests &req);
+    CATNAP_PHASE_READ bool downstream_accepts(int out, Cycle now) const;
+    CATNAP_PHASE_READ void traverse(Cycle now, const SwitchGrants &g);
+
+#if defined(CATNAP_CHECKS) && CATNAP_CHECKS
+    /** What the slot scans the request walks replaced decide for one
+     * evaluate(), run on copies of the allocation state (router.cc,
+     * "Slot-scan oracle"). */
+    struct SlotScan
+    {
+        std::vector<InputVcState> vc_state;
+        std::vector<std::int64_t> out_owner;
+        std::vector<int> va_rr;
+        std::vector<int> sa_input_rr;
+        std::vector<int> sa_output_rr;
+        SwitchGrants grants;
+    };
+    CATNAP_PHASE_READ SlotScan slot_scan(Cycle now) const;
+    CATNAP_PHASE_READ void check_slot_scan(const SlotScan &scan,
+                                           const SwitchGrants &g,
+                                           Cycle now) const;
+#endif
     CATNAP_PHASE_WRITE void apply_arrivals(Cycle now);
     CATNAP_PHASE_WRITE void apply_credits(Cycle now);
 

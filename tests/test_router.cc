@@ -150,6 +150,18 @@ TEST(RouterUnit, ArbitrationIsStarvationFree)
     EXPECT_LT(ratio, 1.25);
 }
 
+TEST(RouterUnit, RequestMasksBoundTheVcCount)
+{
+    // The allocators keep one bit per input VC in a 32-bit mask: five
+    // ports of six VCs fit, five of seven do not.
+    MultiNocConfig cfg = tiny_mesh();
+    ASSERT_EQ(cfg.num_classes, 1);
+    cfg.num_vcs = 7;
+    EXPECT_THROW(MultiNoc net(cfg), std::runtime_error);
+    cfg.num_vcs = 6;
+    EXPECT_NO_THROW(MultiNoc net(cfg));
+}
+
 TEST(RouterUnit, PowerStateQueriesOnFreshRouter)
 {
     MultiNoc net(tiny_mesh());
